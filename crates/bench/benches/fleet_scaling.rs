@@ -20,12 +20,22 @@
 //! are bounded by exactly the per-occupied-slot work the plan
 //! pre-resolves.
 //!
+//! The plan rows time the two strategies as interleaved pairs (Planned,
+//! Direct, Planned, Direct, …), so a CPU-speed swing hits both sides of
+//! a pair alike, and report the median of the per-pair speedups.
+//!
+//! A fourth row family times setup alone: the median `Engine::new` over
+//! five builds of the dense fleet at 5k / 10k / 20k VCs (500 / 1k / 2k
+//! with `--smoke`). Linear setup doubles with the fleet; quadratic
+//! setup quadruples.
+//!
 //! Asserted: the 10k-VC run completes; the cursor's slots/sec is at
 //! least 10× legacy at 1k VCs on the sparse schedule; the compiled
-//! plan's slots/sec is at least 1.5× the direct oracle at 1k VCs on
-//! the dense schedule; and at 100 VCs both steppings and both plan
-//! modes produce **equal** [`evm_core::RunResult`]s — speed is the
-//! only difference.
+//! plan's median paired speedup over the direct oracle is at least 1.5×
+//! at 1k VCs on the dense schedule; setup at 20k VCs takes at most 3×
+//! setup at 10k (full mode only); and at 100 VCs both steppings and
+//! both plan modes produce **equal** [`evm_core::RunResult`]s — speed
+//! is the only difference.
 //!
 //! Every row's baseline column holds the retired strategy it is
 //! measured against: legacy stepping for the dense/sparse stepping
@@ -39,6 +49,12 @@ use std::time::Instant;
 use evm_bench::{banner, f, row, write_result};
 use evm_core::runtime::{CyclePlanMode, Engine, Scenario, SlotStepping};
 use evm_core::RunResult;
+
+/// Interleaved Planned/Direct pairs behind the plan gate.
+const PLAN_PAIRS: usize = 7;
+
+/// `Engine::new` builds per setup row; the row reports their median.
+const SETUP_BUILDS: usize = 5;
 
 /// Fleet scenario sized for benching: enough cycles for a stable
 /// measurement at small `n`, two cycles at 10k (≈ 480k slots).
@@ -78,23 +94,78 @@ fn sparse_scenario(n: usize, stepping: SlotStepping) -> Scenario {
     s
 }
 
+/// One whole engine run of `s`. Engine construction stays outside the
+/// timed region: the run rows measure the slot loop, and the setup rows
+/// time construction on their own.
+fn run_once(s: &Scenario) -> (f64, RunResult) {
+    let engine = Engine::new(s.clone());
+    let start = Instant::now();
+    let r = engine.run();
+    (start.elapsed().as_secs_f64(), r)
+}
+
 /// Runs a pre-built scenario `reps` times, returning the best wall
-/// time, the slot count and one result. Engine construction stays
-/// outside the timed region — setup cost is not what this bench
-/// measures — and best-of-`reps` suppresses first-run jitter (cold
-/// caches, frequency ramp) on the rows whose ratio is asserted.
+/// time, the slot count and one result. Best-of-`reps` suppresses
+/// first-run jitter (cold caches, frequency ramp) on the rows whose
+/// ratio is asserted.
 fn timed(s: Scenario, reps: usize) -> (f64, u64, RunResult) {
     let slots = s.duration / s.rtlink.slot_duration;
     let mut best = f64::INFINITY;
     let mut result = None;
     for _ in 0..reps.max(1) {
-        let engine = Engine::new(s.clone());
-        let start = Instant::now();
-        let r = engine.run();
-        best = best.min(start.elapsed().as_secs_f64());
+        let (wall, r) = run_once(&s);
+        best = best.min(wall);
         result = Some(r);
     }
     (best, slots, result.expect("at least one reps"))
+}
+
+/// The median of `xs` (upper median for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Times `primary` and `baseline` as `pairs` interleaved pairs and
+/// returns the median wall time of each side, the median of the
+/// per-pair speedups (baseline wall / primary wall) and one primary
+/// result.
+fn paired(primary: &Scenario, baseline: &Scenario, pairs: usize) -> (f64, f64, f64, RunResult) {
+    let mut walls = Vec::with_capacity(pairs);
+    let mut baseline_walls = Vec::with_capacity(pairs);
+    let mut ratios = Vec::with_capacity(pairs);
+    let mut result = None;
+    for _ in 0..pairs {
+        let (wall, r) = run_once(primary);
+        let (baseline_wall, br) = run_once(baseline);
+        assert!(br.actuations > 0, "baseline fleet must actuate");
+        walls.push(wall);
+        baseline_walls.push(baseline_wall);
+        ratios.push(baseline_wall / wall);
+        result = Some(r);
+    }
+    (
+        median(walls),
+        median(baseline_walls),
+        median(ratios),
+        result.expect("at least one pair"),
+    )
+}
+
+/// The median `Engine::new` time over `builds` builds of the dense
+/// fleet of `n` VCs, plus its node count.
+fn setup_time(n: usize, builds: usize) -> (f64, usize) {
+    let s = scenario(n, SlotStepping::EventDriven);
+    let nodes = s.topology.nodes.len();
+    let times = (0..builds)
+        .map(|_| {
+            let s = s.clone();
+            let start = Instant::now();
+            let _engine = Engine::new(s);
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    (median(times), nodes)
 }
 
 fn main() {
@@ -140,47 +211,51 @@ fn main() {
         String::from("schedule,vcs,nodes,slots,wall_s,slots_per_s,baseline_slots_per_s,speedup\n");
     let mut json_rows = Vec::new();
     let mut speedup_at_1k = f64::NAN;
+    // Records one row; `baseline_wall` is the retired strategy's wall
+    // time on the same slots, `speedup` the asserted ratio.
+    let mut record = |kind: &str,
+                      n: usize,
+                      nodes: usize,
+                      slots: u64,
+                      wall: f64,
+                      baseline_wall: Option<f64>,
+                      speedup: Option<f64>| {
+        let rate = slots as f64 / wall;
+        let baseline_rate = baseline_wall.map(|b| slots as f64 / b);
+        println!(
+            "{}",
+            row(&[
+                format!("{kind}/{n}"),
+                format!("{nodes}"),
+                format!("{slots}"),
+                f(wall),
+                f(rate),
+                baseline_rate.map_or_else(|| "-".into(), f),
+                speedup.map_or_else(|| "-".into(), f),
+            ])
+        );
+        csv.push_str(&format!(
+            "{kind},{n},{nodes},{slots},{wall:.4},{rate:.1},{},{}\n",
+            baseline_rate.map_or_else(String::new, |v| format!("{v:.1}")),
+            speedup.map_or_else(String::new, |v| format!("{v:.2}")),
+        ));
+        json_rows.push((kind.to_string(), n, nodes, slots, wall, rate, speedup));
+    };
+    // Best-of-`reps` primary against best-of-`reps` baseline.
     let mut run_row =
         |kind: &str, n: usize, reps: usize, primary: Scenario, baseline: Option<Scenario>| {
             let (wall, slots, r) = timed(primary, reps);
             assert!(r.actuations > 0, "{kind} fleet of {n} must actuate");
-            let rate = slots as f64 / wall;
-            let baseline_rate = baseline.map(|s| {
+            let baseline_wall = baseline.map(|s| {
                 let (baseline_wall, _, br) = timed(s, reps);
                 assert!(
                     br.actuations > 0,
                     "baseline {kind} fleet of {n} must actuate"
                 );
-                slots as f64 / baseline_wall
+                baseline_wall
             });
-            let speedup = baseline_rate.map(|b| rate / b);
-            println!(
-                "{}",
-                row(&[
-                    format!("{kind}/{n}"),
-                    format!("{}", r.meta.nodes),
-                    format!("{slots}"),
-                    f(wall),
-                    f(rate),
-                    baseline_rate.map_or_else(|| "-".into(), f),
-                    speedup.map_or_else(|| "-".into(), f),
-                ])
-            );
-            csv.push_str(&format!(
-                "{kind},{n},{},{slots},{wall:.4},{rate:.1},{},{}\n",
-                r.meta.nodes,
-                baseline_rate.map_or_else(String::new, |v| format!("{v:.1}")),
-                speedup.map_or_else(String::new, |v| format!("{v:.2}")),
-            ));
-            json_rows.push((
-                kind.to_string(),
-                n,
-                r.meta.nodes,
-                slots,
-                wall,
-                rate,
-                speedup,
-            ));
+            let speedup = baseline_wall.map(|b| b / wall);
+            record(kind, n, r.meta.nodes, slots, wall, baseline_wall, speedup);
             speedup
         };
 
@@ -226,26 +301,72 @@ fn main() {
     // Plan rows: the epoch-compiled cycle plan vs the direct per-slot
     // oracle on the dense fleet. Dense schedules are bounded by
     // occupied-slot dispatch — the floor the plan flattens — so this is
-    // where the win must show.
+    // where the win must show. Interleaved pairs keep a host speed swing
+    // from landing on one side only; the gate reads the median ratio.
     let mut plan_speedup_at_1k = f64::NAN;
     let plan_sizes: &[usize] = if smoke { &[1_000] } else { &[1_000, 10_000] };
     for &n in plan_sizes {
-        let s = run_row(
+        let planned = plan_scenario(n, CyclePlanMode::Planned);
+        let slots = planned.duration / planned.rtlink.slot_duration;
+        let (wall, direct_wall, speedup, r) = paired(
+            &planned,
+            &plan_scenario(n, CyclePlanMode::Direct),
+            PLAN_PAIRS,
+        );
+        assert!(r.actuations > 0, "plan fleet of {n} must actuate");
+        record(
             "plan",
             n,
-            3,
-            plan_scenario(n, CyclePlanMode::Planned),
-            Some(plan_scenario(n, CyclePlanMode::Direct)),
+            r.meta.nodes,
+            slots,
+            wall,
+            Some(direct_wall),
+            Some(speedup),
         );
         if n == 1_000 {
-            plan_speedup_at_1k = s.expect("direct oracle timed at 1k");
+            plan_speedup_at_1k = speedup;
         }
     }
     assert!(
         plan_speedup_at_1k >= 1.5,
         "compiled cycle plan must be >= 1.5x the direct oracle at 1k VCs \
-         on the dense schedule (got {plan_speedup_at_1k:.2}x)"
+         on the dense schedule (median of {PLAN_PAIRS} paired runs: \
+         {plan_speedup_at_1k:.2}x)"
     );
+
+    // Setup rows: `Engine::new` alone on the dense fleet, at three
+    // doubling sizes. The ratio of the top two sizes is ~2 when setup is
+    // linear and ~4 when it is quadratic.
+    let setup_sizes: [usize; 3] = if smoke {
+        [500, 1_000, 2_000]
+    } else {
+        [5_000, 10_000, 20_000]
+    };
+    println!(
+        "{}",
+        row(&["setup".into(), "nodes".into(), "Engine::new [s]".into()])
+    );
+    let mut setup_rows = Vec::new();
+    for &n in &setup_sizes {
+        let (t, nodes) = setup_time(n, SETUP_BUILDS);
+        println!("{}", row(&[format!("setup/{n}"), format!("{nodes}"), f(t)]));
+        csv.push_str(&format!("setup,{n},{nodes},,{t:.4},,,\n"));
+        setup_rows.push((n, nodes, t));
+    }
+    let setup_ratio = setup_rows[2].2 / setup_rows[1].2;
+    let ratio_key = if smoke {
+        "setup_ratio_2k_over_1k"
+    } else {
+        "setup_ratio_20k_over_10k"
+    };
+    println!("{ratio_key}: {setup_ratio:.2}");
+    if !smoke {
+        assert!(
+            setup_ratio <= 3.0,
+            "fleet setup must scale linearly: Engine::new at 20k VCs took \
+             {setup_ratio:.2}x the 10k time (limit 3.0x)"
+        );
+    }
 
     write_result("fleet_scaling.csv", &csv);
     let mut out = String::from("{\n  \"bench\": \"fleet_scaling\",\n");
@@ -259,9 +380,17 @@ fn main() {
             speedup.map_or_else(|| "null".into(), |v| format!("{v:.2}")),
         ));
     }
+    out.push_str("  ],\n  \"setup_rows\": [\n");
+    for (i, (n, nodes, t)) in setup_rows.iter().enumerate() {
+        let comma = if i + 1 == setup_rows.len() { "" } else { "," };
+        out.push_str(&format!(
+            "    {{\"vcs\": {n}, \"nodes\": {nodes}, \"setup_s\": {t:.4}}}{comma}\n"
+        ));
+    }
     out.push_str(&format!(
         "  ],\n  \"speedup_at_1k_sparse\": {speedup_at_1k:.2},\n  \
-         \"plan_speedup_at_1k\": {plan_speedup_at_1k:.2}\n}}\n"
+         \"plan_speedup_at_1k\": {plan_speedup_at_1k:.2},\n  \
+         \"{ratio_key}\": {setup_ratio:.2}\n}}\n"
     ));
     write_result("fleet_scaling.json", &out);
 }

@@ -1,6 +1,7 @@
 //! Instruction set and byte encoding.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// One EVM instruction.
 ///
@@ -104,10 +105,12 @@ pub enum Op {
 /// program as last run" in O(1) instead of re-comparing the whole
 /// instruction list on every capsule invocation. Equality (and the wire
 /// encoding) ignore the id: two programs with the same instructions are
-/// equal, and clones share their original's id.
+/// equal, and clones share their original's id. The instructions sit
+/// behind an [`Arc`], so a clone — one per controller replica and
+/// capsule of a fleet — is a refcount bump, not a copy.
 #[derive(Debug, Clone)]
 pub struct Program {
-    ops: Vec<Op>,
+    ops: Arc<[Op]>,
     id: u64,
 }
 
@@ -132,7 +135,10 @@ impl Program {
     #[must_use]
     pub fn new(ops: Vec<Op>) -> Self {
         let id = NEXT_PROGRAM_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Program { ops, id }
+        Program {
+            ops: ops.into(),
+            id,
+        }
     }
 
     /// The construction-unique id: equal ids imply equal instructions
@@ -165,7 +171,7 @@ impl Program {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        for op in &self.ops {
+        for op in self.ops.iter() {
             encode_op(op, &mut out);
         }
         out
@@ -436,6 +442,40 @@ mod tests {
         let bytes = p.encode();
         let q = Program::decode(&bytes).unwrap();
         assert_eq!(p, q);
+    }
+
+    #[test]
+    fn clones_share_one_instruction_buffer() {
+        let p = Program::new(sample_ops());
+        let q = p.clone();
+        assert_eq!(q.ops().as_ptr(), p.ops().as_ptr());
+        assert_eq!(q.cache_id(), p.cache_id());
+        assert_eq!(q, p);
+        assert_eq!(q.encode(), p.encode());
+        assert_eq!(q.encoded_len(), p.encoded_len());
+        assert_eq!(Program::decode(&q.encode()).unwrap(), p);
+
+        // Built separately from the same ops: equal, but its own buffer
+        // and its own cache id.
+        let r = Program::new(sample_ops());
+        assert_eq!(r, p);
+        assert_ne!(r.ops().as_ptr(), p.ops().as_ptr());
+        assert_ne!(r.cache_id(), p.cache_id());
+        assert_ne!(
+            Program::decode(&p.encode()).unwrap().cache_id(),
+            p.cache_id()
+        );
+    }
+
+    #[test]
+    fn wire_format_is_pinned() {
+        let p = Program::new(vec![Op::Push(2.0), Op::Add, Op::Halt]);
+        let mut want = vec![0x01];
+        want.extend_from_slice(&2.0f64.to_le_bytes());
+        want.extend_from_slice(&[0x10, 0x44]);
+        assert_eq!(p.encode(), want);
+        assert_eq!(p.clone().encode(), want);
+        assert_eq!(p.encoded_len(), 11);
     }
 
     #[test]

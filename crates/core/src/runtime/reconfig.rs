@@ -147,14 +147,22 @@ impl Reconfigurator {
         serial_schedule: bool,
         transfer_slots: usize,
     ) -> Result<Epoch, ReconfigError> {
-        let view = topology.without_nodes(down);
+        // With nothing down the view is the topology itself: borrow it
+        // instead of copying every node label and adjacency map.
+        let cut;
+        let view = if down.is_empty() {
+            topology
+        } else {
+            cut = topology.without_nodes(down);
+            &cut
+        };
         let logical = prune_down_flows(synth_flows(vcs), down);
-        let routed = route_flows(&view, &logical).map_err(ReconfigError::Unroutable)?;
+        let routed = route_flows(view, &logical).map_err(ReconfigError::Unroutable)?;
         let flows: Vec<_> = routed.flows.iter().map(|(f, _)| f.clone()).collect();
         let (mut schedule, placed) = if serial_schedule {
             SlotSchedule::place_flows_serial(rtlink, &flows)
         } else {
-            SlotSchedule::place_flows(rtlink, &view, &flows)
+            SlotSchedule::place_flows(rtlink, view, &flows)
         }
         .map_err(ReconfigError::Unschedulable)?;
         let mut flow_kinds: HashMap<(usize, NodeId), FlowKind> = routed

@@ -2,11 +2,14 @@
 //! schedule, and instantiate one behavior per role — per Virtual
 //! Component.
 //!
-//! Construction is fleet-aware: role lookups go through a node→duty
-//! index built once (instead of per-node scans over every VC), identical
-//! control laws compile once and are shared, and the hot-loop state the
-//! driver reads every slot (meters, relay cores, labels, slot occupancy)
-//! is laid out in dense topology-indexed tables.
+//! Construction is fleet-aware and linear in the VC count: the
+//! [`crate::runtime::VcMap`] is built in one pass that buckets nodes by
+//! VC, role lookups go through a node→duty index built once (instead of
+//! per-node scans over every VC), identical control laws compile once
+//! and every replica shares the one `Arc`-backed [`Program`], and the
+//! epoch-0 schedule is computed over the resolved topology itself. The
+//! hot-loop state the driver reads every slot (meters, relay cores,
+//! labels, slot occupancy) is laid out in dense topology-indexed tables.
 
 use std::collections::HashMap;
 

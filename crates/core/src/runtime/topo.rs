@@ -887,6 +887,99 @@ impl RoleMap {
     }
 }
 
+/// Checks that node ids are unique and that exactly one gateway exists,
+/// returning the gateway.
+fn spec_gateway(spec: &TopologySpec) -> Result<NodeId, TopologyError> {
+    let mut ids: Vec<NodeId> = spec.nodes.iter().map(|n| n.id).collect();
+    ids.sort_unstable();
+    for w in ids.windows(2) {
+        if w[0] == w[1] {
+            return Err(TopologyError::DuplicateNodeId(w[0]));
+        }
+    }
+    let mut gateway = None;
+    for n in &spec.nodes {
+        if n.role == Role::Gateway {
+            if gateway.is_some() {
+                return Err(TopologyError::DuplicateGateway);
+            }
+            gateway = Some(n.id);
+        }
+    }
+    gateway.ok_or(TopologyError::MissingGateway)
+}
+
+/// Validates one VC's nodes (in spec order; the shared gateway is
+/// skipped) and builds its [`RoleMap`].
+fn role_map<'a>(
+    vc: VcId,
+    gateway: NodeId,
+    nodes: impl IntoIterator<Item = &'a NodeSpec>,
+) -> Result<RoleMap, TopologyError> {
+    let mut head = None;
+    let mut sensors: Vec<(u8, NodeId, u16)> = Vec::new();
+    let mut controllers: Vec<(u8, NodeId)> = Vec::new();
+    let mut actuators: Vec<(u8, NodeId)> = Vec::new();
+    let mut relays: Vec<(u8, NodeId)> = Vec::new();
+    for n in nodes {
+        match n.role {
+            Role::Gateway => {}
+            Role::Head => {
+                if head.is_some() {
+                    return Err(TopologyError::DuplicateHead(vc));
+                }
+                head = Some(n.id);
+            }
+            Role::Sensor(tag) => {
+                let reg = n
+                    .register
+                    .ok_or(TopologyError::MissingSensorRegister(n.id))?;
+                sensors.push((tag, n.id, reg));
+            }
+            Role::Controller(i) => controllers.push((i, n.id)),
+            Role::Actuator(i) => actuators.push((i, n.id)),
+            Role::Relay(i) => relays.push((i, n.id)),
+        }
+    }
+    sensors.sort_by_key(|&(tag, _, _)| tag);
+    controllers.sort_by_key(|&(i, _)| i);
+    actuators.sort_by_key(|&(i, _)| i);
+    relays.sort_by_key(|&(i, _)| i);
+    if sensors.is_empty() {
+        return Err(TopologyError::MissingFocusSensor(vc));
+    }
+    if controllers.is_empty() {
+        return Err(TopologyError::MissingController(vc));
+    }
+    if sensors
+        .iter()
+        .enumerate()
+        .any(|(expect, &(tag, _, _))| tag as usize != expect)
+    {
+        return Err(TopologyError::NonContiguousSensors(vc));
+    }
+    if controllers
+        .iter()
+        .enumerate()
+        .any(|(expect, &(i, _))| i as usize != expect)
+    {
+        return Err(TopologyError::NonContiguousControllers(vc));
+    }
+    if actuators.len() > 1 {
+        return Err(TopologyError::MultipleActuators(vc));
+    }
+    Ok(RoleMap {
+        vc,
+        gateway,
+        head,
+        sensor_registers: sensors.iter().map(|&(_, _, r)| r).collect(),
+        sensors: sensors.into_iter().map(|(_, id, _)| id).collect(),
+        controllers: controllers.into_iter().map(|(_, id)| id).collect(),
+        actuators: actuators.into_iter().map(|(_, id)| id).collect(),
+        relays: relays.into_iter().map(|(_, id)| id).collect(),
+    })
+}
+
 /// Role-resolved addressing for the whole deployment: one [`RoleMap`] per
 /// hosted Virtual Component plus the shared gateway. This replaces the
 /// old engine's single-VC `RoleMap` in every dispatch decision.
@@ -901,96 +994,25 @@ pub struct VcMap {
 impl VcMap {
     /// Builds the map from a spec, validating it.
     ///
+    /// Linear in the node count: one pass buckets the nodes by VC (spec
+    /// order kept within each bucket), then the buckets are walked in VC
+    /// order. The lowest malformed VC is reported first and, within a VC,
+    /// the first bad node in spec order.
+    ///
     /// # Errors
     ///
     /// See [`TopologyError`].
     pub fn try_from_spec(spec: &TopologySpec) -> Result<Self, TopologyError> {
-        {
-            let mut ids: Vec<NodeId> = spec.nodes.iter().map(|n| n.id).collect();
-            ids.sort_unstable();
-            for w in ids.windows(2) {
-                if w[0] == w[1] {
-                    return Err(TopologyError::DuplicateNodeId(w[0]));
-                }
-            }
+        let gateway = spec_gateway(spec)?;
+        let mut buckets: Vec<Vec<&NodeSpec>> = vec![Vec::new(); spec.n_vcs()];
+        for n in spec.nodes.iter().filter(|n| n.role != Role::Gateway) {
+            buckets[n.vc as usize].push(n);
         }
-        let mut gateway = None;
-        for n in &spec.nodes {
-            if n.role == Role::Gateway {
-                if gateway.is_some() {
-                    return Err(TopologyError::DuplicateGateway);
-                }
-                gateway = Some(n.id);
-            }
-        }
-        let gateway = gateway.ok_or(TopologyError::MissingGateway)?;
-
-        let n_vcs = spec.n_vcs();
-        let mut vcs = Vec::with_capacity(n_vcs);
-        for vc in 0..n_vcs as VcId {
-            let mut head = None;
-            let mut sensors: Vec<(u8, NodeId, u16)> = Vec::new();
-            let mut controllers: Vec<(u8, NodeId)> = Vec::new();
-            let mut actuators: Vec<(u8, NodeId)> = Vec::new();
-            let mut relays: Vec<(u8, NodeId)> = Vec::new();
-            for n in spec.nodes.iter().filter(|n| n.vc == vc) {
-                match n.role {
-                    Role::Gateway => continue,
-                    Role::Head => {
-                        if head.is_some() {
-                            return Err(TopologyError::DuplicateHead(vc));
-                        }
-                        head = Some(n.id);
-                    }
-                    Role::Sensor(tag) => {
-                        let reg = n
-                            .register
-                            .ok_or(TopologyError::MissingSensorRegister(n.id))?;
-                        sensors.push((tag, n.id, reg));
-                    }
-                    Role::Controller(i) => controllers.push((i, n.id)),
-                    Role::Actuator(i) => actuators.push((i, n.id)),
-                    Role::Relay(i) => relays.push((i, n.id)),
-                }
-            }
-            sensors.sort_by_key(|&(tag, _, _)| tag);
-            controllers.sort_by_key(|&(i, _)| i);
-            actuators.sort_by_key(|&(i, _)| i);
-            relays.sort_by_key(|&(i, _)| i);
-            if sensors.is_empty() {
-                return Err(TopologyError::MissingFocusSensor(vc));
-            }
-            if controllers.is_empty() {
-                return Err(TopologyError::MissingController(vc));
-            }
-            if sensors
-                .iter()
-                .enumerate()
-                .any(|(expect, &(tag, _, _))| tag as usize != expect)
-            {
-                return Err(TopologyError::NonContiguousSensors(vc));
-            }
-            if controllers
-                .iter()
-                .enumerate()
-                .any(|(expect, &(i, _))| i as usize != expect)
-            {
-                return Err(TopologyError::NonContiguousControllers(vc));
-            }
-            if actuators.len() > 1 {
-                return Err(TopologyError::MultipleActuators(vc));
-            }
-            vcs.push(RoleMap {
-                vc,
-                gateway,
-                head,
-                sensor_registers: sensors.iter().map(|&(_, _, r)| r).collect(),
-                sensors: sensors.into_iter().map(|(_, id, _)| id).collect(),
-                controllers: controllers.into_iter().map(|(_, id)| id).collect(),
-                actuators: actuators.into_iter().map(|(_, id)| id).collect(),
-                relays: relays.into_iter().map(|(_, id)| id).collect(),
-            });
-        }
+        let vcs = buckets
+            .into_iter()
+            .enumerate()
+            .map(|(vc, nodes)| role_map(vc as VcId, gateway, nodes))
+            .collect::<Result<_, _>>()?;
         Ok(VcMap { gateway, vcs })
     }
 
@@ -1769,6 +1791,96 @@ mod tests {
             VcMap::try_from_spec(&sparse_vc),
             Err(TopologyError::MissingFocusSensor(0))
         ));
+    }
+
+    /// The pre-bucketing construction: one full scan of the spec per VC
+    /// (quadratic in fleet deployments). Kept as the oracle the one-pass
+    /// [`VcMap::try_from_spec`] is checked against.
+    fn per_vc_scan_reference(spec: &TopologySpec) -> Result<VcMap, TopologyError> {
+        let gateway = spec_gateway(spec)?;
+        let vcs = (0..spec.n_vcs() as VcId)
+            .map(|vc| role_map(vc, gateway, spec.nodes.iter().filter(|n| n.vc == vc)))
+            .collect::<Result<_, _>>()?;
+        Ok(VcMap { gateway, vcs })
+    }
+
+    fn node_mut(spec: &mut TopologySpec, vc: VcId, role: Role) -> &mut NodeSpec {
+        spec.nodes
+            .iter_mut()
+            .find(|n| n.vc == vc && n.role == role)
+            .expect("role present")
+    }
+
+    /// Adds a copy of VC `vc`'s `role` node under a fresh id, as `as_role`.
+    fn push_copy(spec: &mut TopologySpec, vc: VcId, role: Role, as_role: Role) {
+        let mut extra = node_mut(spec, vc, role).clone();
+        extra.id = NodeId(1000 + spec.nodes.len() as u16);
+        extra.role = as_role;
+        spec.nodes.push(extra);
+    }
+
+    #[test]
+    fn one_pass_vc_map_matches_the_per_vc_scan() {
+        let base = TopologySpec::multi_star(3, 2, 2, 1, true, 15.0);
+
+        let mut head_and_ctrl = base.clone();
+        push_copy(&mut head_and_ctrl, 2, Role::Head, Role::Head);
+        head_and_ctrl
+            .nodes
+            .retain(|n| !(n.vc == 1 && matches!(n.role, Role::Controller(_))));
+
+        let mut sensors_and_acts = base.clone();
+        node_mut(&mut sensors_and_acts, 2, Role::Sensor(1)).role = Role::Sensor(2);
+        push_copy(
+            &mut sensors_and_acts,
+            0,
+            Role::Actuator(0),
+            Role::Actuator(1),
+        );
+
+        let mut acts_and_head = base.clone();
+        push_copy(&mut acts_and_head, 1, Role::Actuator(0), Role::Actuator(1));
+        push_copy(&mut acts_and_head, 2, Role::Head, Role::Head);
+
+        // Two node-level faults in one VC: the first in spec order wins.
+        let mut register_then_head = base.clone();
+        node_mut(&mut register_then_head, 1, Role::Sensor(1)).register = None;
+        push_copy(&mut register_then_head, 1, Role::Head, Role::Head);
+        let missing_reg = node_mut(&mut register_then_head, 1, Role::Sensor(1)).id;
+
+        let malformed = [
+            (head_and_ctrl, TopologyError::MissingController(1)),
+            (sensors_and_acts, TopologyError::MultipleActuators(0)),
+            (acts_and_head, TopologyError::MultipleActuators(1)),
+            (
+                register_then_head,
+                TopologyError::MissingSensorRegister(missing_reg),
+            ),
+        ];
+        let mut specs = vec![
+            TopologySpec::fig5(),
+            TopologySpec::fleet(1),
+            TopologySpec::fleet(257),
+            base,
+            TopologySpec::clustered(3, 2, 2, 1, true, 40.0, 60.0),
+            TopologySpec::clustered_with_backups(2, 1, 2, 1, true, 40.0, 60.0, 1),
+        ];
+        for (spec, want) in &malformed {
+            assert_eq!(VcMap::try_from_spec(spec).as_ref(), Err(want));
+            specs.push(spec.clone());
+        }
+        // Shuffled node order interleaves the VCs' members.
+        let mut rng = SimRng::seed_from(0x5C4);
+        for k in 0..specs.len() {
+            for _ in 0..3 {
+                let mut shuffled = specs[k].clone();
+                rng.shuffle(&mut shuffled.nodes);
+                specs.push(shuffled);
+            }
+        }
+        for spec in &specs {
+            assert_eq!(VcMap::try_from_spec(spec), per_vc_scan_reference(spec));
+        }
     }
 
     #[test]
