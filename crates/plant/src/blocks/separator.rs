@@ -8,7 +8,7 @@
 //! red trace).
 
 use crate::stream::Stream;
-use crate::thermo::Composition;
+use crate::thermo::{Composition, FlashResult, N_COMPONENTS};
 
 /// A vertical two-phase separator.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +25,38 @@ pub struct Separator {
     liquid_comp: Composition,
     /// Liquid inflow over the last step, kmol/h (for reporting).
     last_liquid_in: f64,
+    last_flash: FlashMemo,
+}
+
+/// The last flash a vessel solved, keyed by the bit patterns of `T`, `P`
+/// and the feed composition: the inlet feed never changes and the LTS feed
+/// moves only with the chiller. A cache, so any two memos compare equal.
+#[derive(Debug, Clone, Default)]
+struct FlashMemo(Option<(FlashKey, FlashResult)>);
+
+/// Bit patterns of `T`, `P` and the composition fractions.
+type FlashKey = (u64, u64, [u64; N_COMPONENTS]);
+
+impl PartialEq for FlashMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl FlashMemo {
+    /// Flashes `s`, reusing the last result when its inputs are
+    /// bit-identical; the flash is a pure function of those bits.
+    fn flash(&mut self, s: &Stream) -> FlashResult {
+        let key = (
+            s.t_k.to_bits(),
+            s.p_kpa.to_bits(),
+            s.composition.fractions().map(f64::to_bits),
+        );
+        match self.0 {
+            Some((k, res)) if k == key => res,
+            _ => self.0.insert((key, s.flash())).1,
+        }
+    }
 }
 
 impl Separator {
@@ -55,6 +87,7 @@ impl Separator {
             holdup_kmol: 0.0,
             liquid_comp: initial_comp,
             last_liquid_in: 0.0,
+            last_flash: FlashMemo::default(),
         };
         sep.holdup_kmol = sep.max_holdup_kmol() * initial_level_pct / 100.0;
         sep
@@ -91,12 +124,6 @@ impl Separator {
         self.t_k = t_k;
     }
 
-    /// Composition of the held liquid.
-    #[must_use]
-    pub fn liquid_composition(&self) -> Composition {
-        self.liquid_comp
-    }
-
     /// Liquid condensation rate into the boot over the last step, kmol/h.
     #[must_use]
     pub fn last_liquid_in(&self) -> f64 {
@@ -113,7 +140,7 @@ impl Separator {
             p_kpa: self.p_kpa,
             ..*feed
         };
-        let (vapor, liquid) = at_vessel.split_phases();
+        let (vapor, liquid) = at_vessel.split_by(&self.last_flash.flash(&at_vessel));
         self.last_liquid_in = liquid.molar_flow;
         if liquid.molar_flow > 0.0 {
             let added = liquid.molar_flow * dt_s / 3600.0;

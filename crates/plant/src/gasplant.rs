@@ -15,8 +15,6 @@
 //! in Fig. 6b), the other valves at mid-range. Vessel levels start at
 //! their 50 % setpoints.
 
-use std::collections::HashMap;
-
 use crate::blocks::{Chiller, Depropanizer, GasGasExchanger, Separator, Valve};
 use crate::stream::Stream;
 use crate::thermo::{flash, Composition};
@@ -71,6 +69,8 @@ impl Default for PlantConfig {
 #[derive(Debug, Clone)]
 pub struct GasPlant {
     config: PlantConfig,
+    /// The constant raw-gas feed.
+    feed: Stream,
 
     inlet_sep: Separator,
     lts: Separator,
@@ -91,12 +91,8 @@ pub struct GasPlant {
     /// exchanger, one-step delay for a stable explicit solution).
     lts_vapor_prev: Stream,
 
-    /// Tag name → slot in `tag_values`. Assigned on first publish and
-    /// stable for the life of the plant, so a [`BoundTag`] handle stays
-    /// valid across steps.
-    tag_index: HashMap<String, usize>,
-    /// Latest published measurements, indexed by `tag_index`.
-    tag_values: Vec<f64>,
+    /// Latest published measurements, in [`MEASUREMENT_TAGS`] order.
+    tag_values: [f64; MEASUREMENT_TAGS.len()],
     /// Elapsed simulation time, s.
     elapsed_s: f64,
 }
@@ -105,7 +101,8 @@ pub struct GasPlant {
 ///
 /// Obtained from [`GasPlant::bind_tag`] once, then read with
 /// [`GasPlant::read_bound`] without the per-read string hash of
-/// [`Plant::read_tag`]. Handles never go stale: tag slots are append-only.
+/// [`Plant::read_tag`]. Handles never go stale: slot `i` is always
+/// [`MEASUREMENT_TAGS`]`[i]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundTag(usize);
 
@@ -113,10 +110,15 @@ impl GasPlant {
     /// Builds and calibrates the plant at its steady operating point.
     #[must_use]
     pub fn new(config: PlantConfig) -> Self {
-        let feed_comp = Composition::raw_natural_gas();
+        let feed = Stream::new(
+            config.feed_kmolh,
+            config.feed_t_k,
+            config.feed_p_kpa,
+            Composition::raw_natural_gas(),
+        );
 
         // --- Steady-state calibration (two flashes) -------------------
-        let inlet_flash = flash(&feed_comp, config.feed_t_k, config.feed_p_kpa);
+        let inlet_flash = feed.flash();
         let sep_liq_ss = config.feed_kmolh * (1.0 - inlet_flash.vapor_fraction);
         let overhead_ss = config.feed_kmolh * inlet_flash.vapor_fraction;
 
@@ -173,6 +175,7 @@ impl GasPlant {
 
         let mut plant = GasPlant {
             config,
+            feed,
             inlet_sep,
             lts,
             hx,
@@ -187,8 +190,7 @@ impl GasPlant {
             reboiler_duty_pct: 60.0,
             condenser_duty_pct: 60.0,
             lts_vapor_prev,
-            tag_index: HashMap::new(),
-            tag_values: Vec::new(),
+            tag_values: [0.0; MEASUREMENT_TAGS.len()],
             elapsed_s: 0.0,
         };
         // Publish a consistent initial tag snapshot.
@@ -221,25 +223,16 @@ impl GasPlant {
         self.lts_liq_valve.opening_pct()
     }
 
-    fn publish(&mut self, key: &str, value: f64) {
-        // Update in place: after the first cycle every tag exists, and
-        // re-inserting would re-allocate the key `String` on each step.
-        if let Some(&ix) = self.tag_index.get(key) {
-            self.tag_values[ix] = value;
-        } else {
-            self.tag_index
-                .insert(key.to_string(), self.tag_values.len());
-            self.tag_values.push(value);
-        }
-    }
-
     /// Resolves a published tag name to a reusable [`BoundTag`] handle.
     ///
     /// Returns `None` for unknown tags. The constructor publishes a full
     /// snapshot, so every measurement tag is bindable from step zero.
     #[must_use]
     pub fn bind_tag(&self, tag: &str) -> Option<BoundTag> {
-        self.tag_index.get(tag).copied().map(BoundTag)
+        MEASUREMENT_TAGS
+            .iter()
+            .position(|&t| t == tag)
+            .map(BoundTag)
     }
 
     /// Reads the latest value of a tag through its pre-resolved handle.
@@ -248,6 +241,36 @@ impl GasPlant {
         self.tag_values[slot.0]
     }
 }
+
+/// Names of all published measurement tags; `tag_values[i]` holds
+/// `MEASUREMENT_TAGS[i]` (Fig. 6b series first).
+pub const MEASUREMENT_TAGS: [&str; 25] = [
+    "LTS.LiquidPct",
+    "SepLiq.MolarFlow",
+    "LTSLiq.MolarFlow",
+    "TowerFeed.MolarFlow",
+    "InletSep.LevelPct",
+    "InletSep.LiqIn",
+    "LTS.LiqIn",
+    "Chiller.OutletTempK",
+    "SalesGas.MolarFlow",
+    "SalesGas.TempK",
+    "Column.PressureKPa",
+    "Column.SumpLevelPct",
+    "Column.DrumLevelPct",
+    "Column.TrayTempK",
+    "Column.BottomsC3Frac",
+    "Bottoms.MolarFlow",
+    "Distillate.MolarFlow",
+    "SepLiqValve.OpeningPct",
+    "LTSLiqValve.OpeningPct",
+    "ChillerValve.OpeningPct",
+    "SalesValve.OpeningPct",
+    "BottomsValve.OpeningPct",
+    "DistillateValve.OpeningPct",
+    "ReboilerDuty.Pct",
+    "CondenserDuty.Pct",
+];
 
 /// Names of all writable (actuator) tags.
 pub const ACTUATOR_TAGS: [&str; 8] = [
@@ -279,13 +302,7 @@ impl Plant for GasPlant {
         }
 
         // Feed enters the inlet separator.
-        let feed = Stream::new(
-            self.config.feed_kmolh,
-            self.config.feed_t_k,
-            self.config.feed_p_kpa,
-            Composition::raw_natural_gas(),
-        );
-        let inlet_overhead = self.inlet_sep.feed(&feed, dt);
+        let inlet_overhead = self.inlet_sep.feed(&self.feed, dt);
 
         // Gas/gas exchange against last step's LTS overhead.
         let (hx_hot_out, sales_gas) = self.hx.exchange(&inlet_overhead, &self.lts_vapor_prev);
@@ -321,50 +338,38 @@ impl Plant for GasPlant {
             .column
             .draw_distillate(self.distillate_valve.flow(f64::MAX), dt);
 
-        // Publish measurements (Fig. 6b series first).
-        let lts_level = self.lts.level_pct();
-        let sep_level = self.inlet_sep.level_pct();
-        let chiller_out_t = chilled.t_k;
-        let sump = self.column.sump_level_pct();
-        let drum = self.column.drum_level_pct();
-        let col_p = self.column.pressure_kpa();
-        let tray_t = self.column.tray_temp_k(self.reboiler_duty_pct);
-        let bott_c3 = self.column.bottoms_propane_frac();
-        let lts_liq_in = self.lts.last_liquid_in();
-        let sep_liq_in = self.inlet_sep.last_liquid_in();
-
-        self.publish("LTS.LiquidPct", lts_level);
-        self.publish("SepLiq.MolarFlow", sep_liq.molar_flow);
-        self.publish("LTSLiq.MolarFlow", lts_liq.molar_flow);
-        self.publish("TowerFeed.MolarFlow", tower_feed.molar_flow);
-        self.publish("InletSep.LevelPct", sep_level);
-        self.publish("InletSep.LiqIn", sep_liq_in);
-        self.publish("LTS.LiqIn", lts_liq_in);
-        self.publish("Chiller.OutletTempK", chiller_out_t);
-        self.publish("SalesGas.MolarFlow", sales_gas.molar_flow);
-        self.publish("SalesGas.TempK", sales_gas.t_k);
-        self.publish("Column.PressureKPa", col_p);
-        self.publish("Column.SumpLevelPct", sump);
-        self.publish("Column.DrumLevelPct", drum);
-        self.publish("Column.TrayTempK", tray_t);
-        self.publish("Column.BottomsC3Frac", bott_c3);
-        self.publish("Bottoms.MolarFlow", bottoms.molar_flow);
-        self.publish("Distillate.MolarFlow", distillate.molar_flow);
-        self.publish("SepLiqValve.OpeningPct", self.sep_liq_valve.opening_pct());
-        self.publish("LTSLiqValve.OpeningPct", self.lts_liq_valve.opening_pct());
-        self.publish("ChillerValve.OpeningPct", self.chiller_valve.opening_pct());
-        self.publish("SalesValve.OpeningPct", self.sales_valve.opening_pct());
-        self.publish("BottomsValve.OpeningPct", self.bottoms_valve.opening_pct());
-        self.publish(
-            "DistillateValve.OpeningPct",
+        // Publish measurements, in `MEASUREMENT_TAGS` order.
+        self.tag_values = [
+            self.lts.level_pct(),
+            sep_liq.molar_flow,
+            lts_liq.molar_flow,
+            tower_feed.molar_flow,
+            self.inlet_sep.level_pct(),
+            self.inlet_sep.last_liquid_in(),
+            self.lts.last_liquid_in(),
+            chilled.t_k,
+            sales_gas.molar_flow,
+            sales_gas.t_k,
+            self.column.pressure_kpa(),
+            self.column.sump_level_pct(),
+            self.column.drum_level_pct(),
+            self.column.tray_temp_k(self.reboiler_duty_pct),
+            self.column.bottoms_propane_frac(),
+            bottoms.molar_flow,
+            distillate.molar_flow,
+            self.sep_liq_valve.opening_pct(),
+            self.lts_liq_valve.opening_pct(),
+            self.chiller_valve.opening_pct(),
+            self.sales_valve.opening_pct(),
+            self.bottoms_valve.opening_pct(),
             self.distillate_valve.opening_pct(),
-        );
-        self.publish("ReboilerDuty.Pct", self.reboiler_duty_pct);
-        self.publish("CondenserDuty.Pct", self.condenser_duty_pct);
+            self.reboiler_duty_pct,
+            self.condenser_duty_pct,
+        ];
     }
 
     fn read_tag(&self, tag: &str) -> Option<f64> {
-        self.tag_index.get(tag).map(|&ix| self.tag_values[ix])
+        self.bind_tag(tag).map(|slot| self.read_bound(slot))
     }
 
     fn write_tag(&mut self, tag: &str, value: f64) -> Result<(), String> {
@@ -377,7 +382,7 @@ impl Plant for GasPlant {
             "DistillateValve.Cmd" => self.distillate_valve.command(value),
             "ReboilerDuty.Cmd" => self.reboiler_duty_pct = value.clamp(0.0, 100.0),
             "CondenserDuty.Cmd" => self.condenser_duty_pct = value.clamp(0.0, 100.0),
-            other if self.tag_index.contains_key(other) => {
+            other if MEASUREMENT_TAGS.contains(&other) => {
                 return Err(format!("tag is read-only: {other}"));
             }
             other => return Err(format!("unknown tag: {other}")),
@@ -386,10 +391,12 @@ impl Plant for GasPlant {
     }
 
     fn tags(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tag_index.keys().cloned().collect();
-        v.extend(ACTUATOR_TAGS.iter().map(|s| s.to_string()));
+        let mut v: Vec<String> = MEASUREMENT_TAGS
+            .iter()
+            .chain(&ACTUATOR_TAGS)
+            .map(|s| s.to_string())
+            .collect();
         v.sort();
-        v.dedup();
         v
     }
 }
@@ -472,21 +479,65 @@ mod tests {
         assert!(liq_in < 40.0, "condensation should collapse: {liq_in}");
     }
 
+    /// The published tag set, its sort order, the slot of every tag and
+    /// the error texts are an interface: the engine binds slots once and
+    /// gateways list `tags()`.
     #[test]
     fn tag_interface_is_complete_and_guarded() {
         let mut p = GasPlant::default();
-        for t in [
-            "LTS.LiquidPct",
-            "SepLiq.MolarFlow",
-            "LTSLiq.MolarFlow",
-            "TowerFeed.MolarFlow",
+        let expected = [
+            "Bottoms.MolarFlow",
+            "BottomsValve.Cmd",
+            "BottomsValve.OpeningPct",
+            "Chiller.OutletTempK",
+            "ChillerValve.Cmd",
+            "ChillerValve.OpeningPct",
+            "Column.BottomsC3Frac",
+            "Column.DrumLevelPct",
             "Column.PressureKPa",
-        ] {
-            assert!(p.read_tag(t).is_some(), "missing tag {t}");
+            "Column.SumpLevelPct",
+            "Column.TrayTempK",
+            "CondenserDuty.Cmd",
+            "CondenserDuty.Pct",
+            "Distillate.MolarFlow",
+            "DistillateValve.Cmd",
+            "DistillateValve.OpeningPct",
+            "InletSep.LevelPct",
+            "InletSep.LiqIn",
+            "LTS.LiqIn",
+            "LTS.LiquidPct",
+            "LTSLiq.MolarFlow",
+            "LTSLiqValve.Cmd",
+            "LTSLiqValve.OpeningPct",
+            "ReboilerDuty.Cmd",
+            "ReboilerDuty.Pct",
+            "SalesGas.MolarFlow",
+            "SalesGas.TempK",
+            "SalesValve.Cmd",
+            "SalesValve.OpeningPct",
+            "SepLiq.MolarFlow",
+            "SepLiqValve.Cmd",
+            "SepLiqValve.OpeningPct",
+            "TowerFeed.MolarFlow",
+        ];
+        assert_eq!(p.tags(), expected);
+        for (i, tag) in MEASUREMENT_TAGS.iter().enumerate() {
+            assert_eq!(p.bind_tag(tag), Some(BoundTag(i)), "{tag}");
+            assert_eq!(p.read_tag(tag), Some(p.tag_values[i]), "{tag}");
         }
-        assert!(p.write_tag("LTS.LiquidPct", 1.0).is_err(), "read-only");
-        assert!(p.write_tag("No.Such.Tag", 1.0).is_err());
-        assert!(p.tags().len() > 20);
+        assert_eq!(
+            p.bind_tag("LTSLiqValve.Cmd"),
+            None,
+            "actuators are not published"
+        );
+        assert_eq!(
+            p.write_tag("LTS.LiquidPct", 1.0),
+            Err("tag is read-only: LTS.LiquidPct".to_string())
+        );
+        assert_eq!(
+            p.write_tag("No.Such.Tag", 1.0),
+            Err("unknown tag: No.Such.Tag".to_string())
+        );
     }
 
     #[test]
@@ -503,6 +554,47 @@ mod tests {
             p.read_bound(slot),
             p.read_tag("LTS.LiquidPct").unwrap(),
             "handle must track the live value across steps"
+        );
+    }
+
+    /// FNV-1a digest of every step's published measurements over a
+    /// closed-loop run with an LTS valve fault and a chiller-valve
+    /// saturation window. The window lets the LTS flash conditions settle
+    /// to a fixed point (repeated flashes) and the fault keeps them moving
+    /// elsewhere; any bit of drift in the plant arithmetic changes the
+    /// digest.
+    #[test]
+    fn closed_loop_trajectory_is_pinned() {
+        use crate::control::{standard_loops, LocalController};
+
+        let mut p = GasPlant::default();
+        let mut loops: Vec<LocalController> = standard_loops()
+            .into_iter()
+            .map(LocalController::new)
+            .collect();
+        let dt = 0.1;
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for step in 0..3000 {
+            let now = f64::from(step) * dt;
+            for c in &mut loops {
+                let _ = c.poll(&mut p, now);
+            }
+            if step >= 600 {
+                p.write_tag("LTSLiqValve.Cmd", 75.0).unwrap();
+            }
+            if (1000..2600).contains(&step) {
+                p.write_tag("ChillerValve.Cmd", 100.0).unwrap();
+            }
+            p.step(dt);
+            for v in &p.tag_values {
+                for b in v.to_bits().to_le_bytes() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            digest, 0x204f_4260_8b64_21b8,
+            "plant trajectory digest moved"
         );
     }
 

@@ -33,16 +33,6 @@ impl std::fmt::Display for ModbusError {
 
 impl std::error::Error for ModbusError {}
 
-/// One register's mapping.
-#[derive(Debug, Clone, PartialEq)]
-struct RegisterEntry {
-    tag: String,
-    /// Engineering value = raw × scale + offset.
-    scale: f64,
-    offset: f64,
-    writable: bool,
-}
-
 /// A register binding resolved once against a [`RegisterMap`]: the
 /// address, scaling and backing tag are captured so steady-state access
 /// skips the per-call map lookup entirely. This is what a real gateway
@@ -69,13 +59,17 @@ pub struct BoundRegister {
 ///
 /// [`ModbusError::TagMissing`] if the plant no longer has the tag.
 pub fn read_bound(plant: &dyn Plant, reg: &BoundRegister) -> Result<f64, ModbusError> {
+    let raw = read_raw(plant, reg)?;
+    Ok(f64::from(raw) * reg.scale + reg.offset)
+}
+
+/// The register's wire value: its tag scaled, rounded and clamped into u16.
+fn read_raw(plant: &dyn Plant, reg: &BoundRegister) -> Result<u16, ModbusError> {
     let v = plant
         .read_tag(&reg.tag)
         .ok_or_else(|| ModbusError::TagMissing(reg.tag.clone()))?;
-    let raw = ((v - reg.offset) / reg.scale)
-        .round()
-        .clamp(0.0, f64::from(u16::MAX)) as u16;
-    Ok(f64::from(raw) * reg.scale + reg.offset)
+    let raw = ((v - reg.offset) / reg.scale).round();
+    Ok(raw.clamp(0.0, f64::from(u16::MAX)) as u16)
 }
 
 /// Writes a bound holding register in engineering units, quantized
@@ -105,7 +99,7 @@ pub fn write_bound(
 /// A ModBus register map over a [`Plant`]'s tags.
 #[derive(Debug, Clone, Default)]
 pub struct RegisterMap {
-    regs: BTreeMap<u16, RegisterEntry>,
+    regs: BTreeMap<u16, BoundRegister>,
 }
 
 impl RegisterMap {
@@ -117,28 +111,29 @@ impl RegisterMap {
 
     /// Maps a read-only (input) register.
     pub fn map_input(&mut self, addr: u16, tag: impl Into<String>, scale: f64, offset: f64) {
-        self.regs.insert(
-            addr,
-            RegisterEntry {
-                tag: tag.into(),
-                scale,
-                offset,
-                writable: false,
-            },
-        );
+        self.map(addr, tag.into(), scale, offset, false);
     }
 
     /// Maps a writable (holding) register.
     pub fn map_holding(&mut self, addr: u16, tag: impl Into<String>, scale: f64, offset: f64) {
-        self.regs.insert(
+        self.map(addr, tag.into(), scale, offset, true);
+    }
+
+    fn map(&mut self, addr: u16, tag: String, scale: f64, offset: f64, writable: bool) {
+        let reg = BoundRegister {
             addr,
-            RegisterEntry {
-                tag: tag.into(),
-                scale,
-                offset,
-                writable: true,
-            },
-        );
+            scale,
+            offset,
+            writable,
+            tag,
+        };
+        self.regs.insert(addr, reg);
+    }
+
+    fn entry(&self, addr: u16) -> Result<&BoundRegister, ModbusError> {
+        self.regs
+            .get(&addr)
+            .ok_or(ModbusError::UnknownRegister(addr))
     }
 
     /// Number of mapped registers.
@@ -183,13 +178,7 @@ impl RegisterMap {
     /// scaling and backing tag, for lookup-free steady-state access.
     #[must_use]
     pub fn bind(&self, addr: u16) -> Option<BoundRegister> {
-        self.regs.get(&addr).map(|e| BoundRegister {
-            addr,
-            scale: e.scale,
-            offset: e.offset,
-            writable: e.writable,
-            tag: e.tag.clone(),
-        })
+        self.regs.get(&addr).cloned()
     }
 
     /// Reads a register: fetches the tag, applies scaling, clamps into the
@@ -199,15 +188,7 @@ impl RegisterMap {
     ///
     /// [`ModbusError::UnknownRegister`] or [`ModbusError::TagMissing`].
     pub fn read(&self, plant: &dyn Plant, addr: u16) -> Result<u16, ModbusError> {
-        let e = self
-            .regs
-            .get(&addr)
-            .ok_or(ModbusError::UnknownRegister(addr))?;
-        let v = plant
-            .read_tag(&e.tag)
-            .ok_or_else(|| ModbusError::TagMissing(e.tag.clone()))?;
-        let raw = ((v - e.offset) / e.scale).round();
-        Ok(raw.clamp(0.0, f64::from(u16::MAX)) as u16)
+        read_raw(plant, self.entry(addr)?)
     }
 
     /// Reads a register and converts back to engineering units (what the
@@ -217,9 +198,7 @@ impl RegisterMap {
     ///
     /// Same as [`RegisterMap::read`].
     pub fn read_scaled(&self, plant: &dyn Plant, addr: u16) -> Result<f64, ModbusError> {
-        let raw = self.read(plant, addr)?;
-        let e = &self.regs[&addr];
-        Ok(f64::from(raw) * e.scale + e.offset)
+        read_bound(plant, self.entry(addr)?)
     }
 
     /// Writes a holding register in engineering units.
@@ -234,21 +213,7 @@ impl RegisterMap {
         addr: u16,
         value: f64,
     ) -> Result<(), ModbusError> {
-        let e = self
-            .regs
-            .get(&addr)
-            .ok_or(ModbusError::UnknownRegister(addr))?;
-        if !e.writable {
-            return Err(ModbusError::ReadOnly(addr));
-        }
-        // Quantize through the register exactly as the wire would.
-        let raw = ((value - e.offset) / e.scale)
-            .round()
-            .clamp(0.0, f64::from(u16::MAX));
-        let quantized = raw * e.scale + e.offset;
-        plant
-            .write_tag(&e.tag, quantized)
-            .map_err(|_| ModbusError::TagMissing(e.tag.clone()))
+        write_bound(plant, self.entry(addr)?, value)
     }
 
     /// The standard map for the gas plant: inputs at 30000+, holdings at

@@ -68,7 +68,12 @@ impl Stream {
     /// Splits this stream into `(vapor, liquid)` streams at equilibrium.
     #[must_use]
     pub fn split_phases(&self) -> (Stream, Stream) {
-        let res = self.flash();
+        self.split_by(&self.flash())
+    }
+
+    /// [`Stream::split_phases`] by `res`, a flash already solved for this stream.
+    #[must_use]
+    pub(crate) fn split_by(&self, res: &FlashResult) -> (Stream, Stream) {
         let vapor = Stream {
             molar_flow: self.molar_flow * res.vapor_fraction,
             composition: res.vapor,

@@ -48,16 +48,14 @@ impl FlashResult {
 /// `Σ zᵢ(Kᵢ−1)/(1 + V(Kᵢ−1)) = 0`.
 #[must_use]
 pub fn flash(z: &Composition, t_k: f64, p_kpa: f64) -> FlashResult {
-    let k: [f64; N_COMPONENTS] = std::array::from_fn(|i| wilson_k(Component::ALL[i], t_k, p_kpa));
+    let k = Component::ALL.map(|c| wilson_k(c, t_k, p_kpa));
+    // Per-flash constants of the RR terms: `Kᵢ−1` and `zᵢ(Kᵢ−1)`.
+    let km1 = k.map(|ki| ki - 1.0);
+    let zkm1: [f64; N_COMPONENTS] = std::array::from_fn(|i| z.fractions()[i] * km1[i]);
 
     let rr = |v: f64| -> f64 {
-        Component::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let zi = z.fraction(c);
-                zi * (k[i] - 1.0) / (1.0 + v * (k[i] - 1.0))
-            })
+        (0..N_COMPONENTS)
+            .map(|i| zkm1[i] / (1.0 + v * km1[i]))
             .sum()
     };
 
@@ -78,11 +76,16 @@ pub fn flash(z: &Composition, t_k: f64, p_kpa: f64) -> FlashResult {
         };
     }
 
-    // Bisection on [0, 1]: rr is monotone decreasing in V.
+    // Bisection on [0, 1]: rr is monotone decreasing in V. `rr(lo) > 0`
+    // and `!(rr(hi) > 0)` hold throughout, so once the midpoint rounds onto
+    // an endpoint every remaining iteration would leave `(lo, hi)` as is.
     let mut lo = 0.0f64;
     let mut hi = 1.0f64;
     for _ in 0..80 {
         let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            break;
+        }
         if rr(mid) > 0.0 {
             lo = mid;
         } else {
@@ -98,19 +101,15 @@ pub fn flash(z: &Composition, t_k: f64, p_kpa: f64) -> FlashResult {
 }
 
 fn liquid_comp(z: &Composition, k: &[f64], v: f64) -> Composition {
-    let mut x = [0.0; N_COMPONENTS];
-    for (i, &c) in Component::ALL.iter().enumerate() {
-        x[i] = z.fraction(c) / (1.0 + v * (k[i] - 1.0));
-    }
-    Composition::new(x)
+    Composition::new(std::array::from_fn(|i| {
+        z.fractions()[i] / (1.0 + v * (k[i] - 1.0))
+    }))
 }
 
 fn vapor_comp(z: &Composition, k: &[f64], v: f64) -> Composition {
-    let mut y = [0.0; N_COMPONENTS];
-    for (i, &c) in Component::ALL.iter().enumerate() {
-        y[i] = z.fraction(c) * k[i] / (1.0 + v * (k[i] - 1.0));
-    }
-    Composition::new(y)
+    Composition::new(std::array::from_fn(|i| {
+        z.fractions()[i] * k[i] / (1.0 + v * (k[i] - 1.0))
+    }))
 }
 
 #[cfg(test)]
@@ -165,6 +164,7 @@ mod tests {
         let res = flash(&feed, 400.0, 3000.0);
         assert_eq!(res.vapor_fraction, 1.0);
         assert_eq!(res.vapor, feed);
+        assert_bit_exact(&feed, 400.0, 3000.0);
     }
 
     #[test]
@@ -173,6 +173,7 @@ mod tests {
         let res = flash(&feed, 250.0, 2000.0);
         assert_eq!(res.vapor_fraction, 0.0);
         assert_eq!(res.liquid, feed);
+        assert_bit_exact(&feed, 250.0, 2000.0);
     }
 
     /// Draws a random feed composition and flash conditions from a seeded
@@ -187,6 +188,104 @@ mod tests {
             rng.range(200.0, 400.0),
             rng.range(500.0, 8000.0),
         )
+    }
+
+    /// The flash as first written: the RR terms rebuilt on every
+    /// evaluation and all 80 bisection steps taken. The differential tests
+    /// hold [`flash`] to its exact bits.
+    fn reference_flash(z: &Composition, t_k: f64, p_kpa: f64) -> FlashResult {
+        let k: [f64; N_COMPONENTS] =
+            std::array::from_fn(|i| wilson_k(Component::ALL[i], t_k, p_kpa));
+        let rr = |v: f64| -> f64 {
+            Component::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| {
+                    let zi = z.fraction(c);
+                    zi * (k[i] - 1.0) / (1.0 + v * (k[i] - 1.0))
+                })
+                .sum()
+        };
+        let liquid = |v: f64| {
+            let mut x = [0.0; N_COMPONENTS];
+            for (i, &c) in Component::ALL.iter().enumerate() {
+                x[i] = z.fraction(c) / (1.0 + v * (k[i] - 1.0));
+            }
+            Composition::new(x)
+        };
+        let vapor = |v: f64| {
+            let mut y = [0.0; N_COMPONENTS];
+            for (i, &c) in Component::ALL.iter().enumerate() {
+                y[i] = z.fraction(c) * k[i] / (1.0 + v * (k[i] - 1.0));
+            }
+            Composition::new(y)
+        };
+        if rr(0.0) <= 0.0 {
+            return FlashResult {
+                vapor_fraction: 0.0,
+                liquid: *z,
+                vapor: vapor(0.0),
+            };
+        }
+        if rr(1.0) >= 0.0 {
+            return FlashResult {
+                vapor_fraction: 1.0,
+                liquid: liquid(1.0),
+                vapor: *z,
+            };
+        }
+        let mut lo = 0.0f64;
+        let mut hi = 1.0f64;
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            if rr(mid) > 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let v = 0.5 * (lo + hi);
+        FlashResult {
+            vapor_fraction: v,
+            liquid: liquid(v),
+            vapor: vapor(v),
+        }
+    }
+
+    /// Asserts `flash` and the reference agree to the bit on one case.
+    fn assert_bit_exact(z: &Composition, t: f64, p: f64) {
+        let got = flash(z, t, p);
+        let want = reference_flash(z, t, p);
+        let bits = |r: &FlashResult| {
+            let mut b = vec![r.vapor_fraction.to_bits()];
+            b.extend(r.liquid.fractions().iter().map(|x| x.to_bits()));
+            b.extend(r.vapor.fractions().iter().map(|y| y.to_bits()));
+            b
+        };
+        assert_eq!(bits(&got), bits(&want), "flash of {z} at {t} K, {p} kPa");
+    }
+
+    #[test]
+    fn flash_matches_reference_bits_randomly() {
+        let mut rng = SimRng::seed_from(0xF1A8);
+        for _ in 0..1024 {
+            let (z, t, p) = random_case(&mut rng);
+            assert_bit_exact(&z, t, p);
+        }
+    }
+
+    /// The LTS feed (inlet-separator overhead) over the whole range the
+    /// chiller and the LTS pressure can reach.
+    #[test]
+    fn flash_matches_reference_bits_on_lts_grid() {
+        let lts_feed = reference_flash(&Composition::raw_natural_gas(), 303.15, 6200.0).vapor;
+        for ti in 0..=120 {
+            for pi in 0..=150 {
+                let t = 200.0 + f64::from(ti);
+                let p = 500.0 + 50.0 * f64::from(pi);
+                assert_bit_exact(&lts_feed, t, p);
+            }
+        }
     }
 
     /// Component material balance: V·yᵢ + (1−V)·xᵢ = zᵢ, over many random

@@ -42,13 +42,10 @@ impl Component {
         Component::NC4,
     ];
 
-    /// Canonical index of this component.
+    /// Canonical index: the declaration order, which [`Component::ALL`] follows.
     #[must_use]
     pub fn index(self) -> usize {
-        Component::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("component in ALL")
+        self as usize
     }
 
     /// Critical temperature, K.
