@@ -214,12 +214,14 @@ enum Frame {
 pub(crate) fn exec_fused(
     fused: &FusedProgram,
     extensions: &ExtTable,
+    stack: &mut Vec<f64>,
     vars: &mut [f64; N_VARS],
     gas_limit: u64,
     gas_out: &mut u64,
     env: &mut dyn VmEnv,
 ) -> Result<f64, VmError> {
-    let mut stack: Vec<f64> = Vec::with_capacity(MAX_STACK);
+    stack.clear();
+    stack.reserve(MAX_STACK);
     let mut calls: Vec<(Frame, usize)> = Vec::new();
     let mut gas: u64 = 0;
     let mut frame = Frame::Main;

@@ -25,6 +25,10 @@ pub(crate) const MAX_CALLS: usize = 8;
 /// The fixed extension-word dispatch table: direct indexing, no hashing.
 pub(crate) type ExtTable = [Option<Program>; 256];
 
+/// The table every [`Vm`] without a registered extension word reads: a
+/// VM allocates its own only on the first [`Vm::register_extension`].
+static NO_EXTENSIONS: ExtTable = [const { None }; 256];
+
 /// Which execution engine a [`Vm`] uses.
 ///
 /// All tiers are observationally identical (results, gas, variables,
@@ -188,14 +192,22 @@ struct Prepared {
 /// The persistent virtual machine for one task: variables survive across
 /// invocations (that is where PID integrators live), and the extension
 /// dictionary can grow at runtime.
+///
+/// Construction allocates nothing: the extension table is allocated on
+/// the first registered word, and the data stack and register file on
+/// the first run that needs them; later runs reuse both.
 #[derive(Debug)]
 pub struct Vm {
     vars: [f64; N_VARS],
-    extensions: Box<ExtTable>,
+    /// `None` until an extension word is registered (reads then go to
+    /// [`NO_EXTENSIONS`]).
+    extensions: Option<Box<ExtTable>>,
     gas_limit: u64,
     gas_used_last: u64,
     tier: Tier,
     prepared: Option<Prepared>,
+    /// Data stack reused by the interpreted and fused tiers.
+    stack: Vec<f64>,
     /// Register file reused by the compiled tier across invocations.
     scratch: Vec<f64>,
 }
@@ -211,6 +223,7 @@ impl Clone for Vm {
             gas_used_last: self.gas_used_last,
             tier: self.tier,
             prepared: None,
+            stack: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -237,11 +250,12 @@ impl Vm {
         assert!(gas_limit > 0, "gas limit must be positive");
         Vm {
             vars: [0.0; N_VARS],
-            extensions: Box::new(std::array::from_fn(|_| None)),
+            extensions: None,
             gas_limit,
             gas_used_last: 0,
             tier,
             prepared: None,
+            stack: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -260,7 +274,9 @@ impl Vm {
     /// Registers (or replaces) extension word `n` — the runtime ISA
     /// extension mechanism. Returns the previous definition, if any.
     pub fn register_extension(&mut self, n: u8, body: Program) -> Option<Program> {
-        self.extensions[n as usize].replace(body)
+        self.extensions
+            .get_or_insert_with(|| Box::new([const { None }; 256]))[n as usize]
+            .replace(body)
     }
 
     /// Gas consumed by the last invocation.
@@ -307,17 +323,21 @@ impl Vm {
     /// the task-local variables (as on the real machine).
     pub fn run(&mut self, program: &Program, env: &mut dyn VmEnv) -> Result<f64, VmError> {
         let mut gas = 0u64;
+        if self.tier != Tier::Interp {
+            self.prepare(program);
+        }
+        let extensions = self.extensions.as_deref().unwrap_or(&NO_EXTENSIONS);
         let result = match self.tier {
             Tier::Interp => exec(
                 program,
-                &self.extensions,
+                extensions,
+                &mut self.stack,
                 &mut self.vars,
                 self.gas_limit,
                 &mut gas,
                 env,
             ),
             Tier::Fused | Tier::Compiled => {
-                self.prepare(program);
                 let prepared = self.prepared.as_ref().expect("prepared above");
                 match (&prepared.compiled, self.tier) {
                     (Some(compiled), Tier::Compiled) => compile::run(
@@ -330,7 +350,8 @@ impl Vm {
                     ),
                     _ => fuse::exec_fused(
                         &prepared.fused,
-                        &self.extensions,
+                        extensions,
+                        &mut self.stack,
                         &mut self.vars,
                         self.gas_limit,
                         &mut gas,
@@ -378,6 +399,7 @@ enum FrameRef {
 fn exec(
     program: &Program,
     extensions: &ExtTable,
+    stack: &mut Vec<f64>,
     vars: &mut [f64; N_VARS],
     gas_limit: u64,
     gas_out: &mut u64,
@@ -392,7 +414,8 @@ fn exec(
         }
     };
     {
-        let mut stack: Vec<f64> = Vec::with_capacity(MAX_STACK);
+        stack.clear();
+        stack.reserve(MAX_STACK);
         let mut calls: Vec<(FrameRef, usize)> = Vec::new();
         let mut gas: u64 = 0;
         let mut frame = FrameRef::Main;
@@ -792,6 +815,41 @@ mod tests {
         let old = vm.register_extension(1, Program::new(vec![Op::Push(0.0), Op::Add, Op::Ret]));
         assert!(old.is_some());
         assert_eq!(vm.run(&p, &mut env), Ok(7.0));
+    }
+
+    #[test]
+    fn extension_table_semantics_on_every_tier() {
+        let p = Program::new(vec![Op::Push(7.0), Op::Ext(3), Op::Halt]);
+        let square = Program::new(vec![Op::Dup, Op::Mul, Op::Ret]);
+        let identity = Program::new(vec![Op::Push(0.0), Op::Add, Op::Ret]);
+        for tier in Tier::ALL {
+            let mut env = NullEnv::default();
+            let mut vm = Vm::with_tier(1000, tier);
+            assert_eq!(
+                vm.run(&p, &mut env),
+                Err(VmError::UnknownExtension),
+                "{tier}: a fresh VM has no extension words"
+            );
+            assert_eq!(
+                vm.clone().run(&p, &mut env),
+                Err(VmError::UnknownExtension),
+                "{tier}: nor does its clone"
+            );
+            assert_eq!(vm.register_extension(3, square.clone()), None, "{tier}");
+            assert_eq!(vm.run(&p, &mut env), Ok(49.0), "{tier}");
+            let mut twin = vm.clone();
+            assert_eq!(
+                vm.register_extension(3, identity.clone()),
+                Some(square.clone()),
+                "{tier}: registering returns the previous body"
+            );
+            assert_eq!(vm.run(&p, &mut env), Ok(7.0), "{tier}");
+            assert_eq!(
+                twin.run(&p, &mut env),
+                Ok(49.0),
+                "{tier}: a clone keeps its own copy of the extensions"
+            );
+        }
     }
 
     #[test]

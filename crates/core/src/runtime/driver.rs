@@ -99,7 +99,10 @@ pub(super) enum Ev {
 pub(super) struct SlotEntry {
     pub(super) owner: NodeId,
     pub(super) kind: Option<FlowKind>,
-    pub(super) listeners: Vec<NodeId>,
+    /// Listener range in [`SlotTable::listeners`].
+    pub(super) lo: u32,
+    /// Exclusive end of the listener range.
+    pub(super) hi: u32,
 }
 
 /// Per-epoch slot occupancy: the schedule flattened into contiguous
@@ -111,6 +114,8 @@ pub(super) struct SlotTable {
     /// `entries` range per slot (`slots_per_cycle` rows).
     pub(super) per_slot: Vec<(u32, u32)>,
     pub(super) entries: Vec<SlotEntry>,
+    /// Every entry's listeners, back to back, in entry order.
+    pub(super) listeners: Vec<NodeId>,
     /// `next_occ[s]` = smallest occupied slot `>= s`, or
     /// `slots_per_cycle` if none; `slots_per_cycle + 1` rows so the
     /// lookup from `s + 1` stays in bounds.
@@ -118,39 +123,52 @@ pub(super) struct SlotTable {
 }
 
 impl SlotTable {
-    /// Flattens `schedule` + `flow_kinds` for one epoch.
+    /// Flattens `schedule` + `flow_kinds` for one epoch in one pass over
+    /// the placed slots (in slot order); the empty stretches between and
+    /// after them are filled without probing the schedule.
     pub(super) fn build(
-        spc: usize,
         schedule: &SlotSchedule,
         flow_kinds: &HashMap<(usize, NodeId), FlowKind>,
     ) -> Self {
+        let spc = schedule.slots_per_cycle();
+        let as_u32 = |n: usize| u32::try_from(n).expect("schedule fits u32");
+        let mut placed: Vec<_> = schedule.placed_slots().collect();
+        placed.sort_unstable_by_key(|&(slot, _)| slot);
         let mut per_slot = Vec::with_capacity(spc);
-        let mut entries = Vec::new();
-        for slot in 0..spc {
-            let lo = u32::try_from(entries.len()).expect("schedule fits u32");
-            for a in schedule.in_slot(slot) {
+        let mut next_occ = Vec::with_capacity(spc + 1);
+        let mut entries = Vec::with_capacity(placed.iter().map(|(_, a)| a.len()).sum());
+        let mut listeners = Vec::new();
+        for (slot, assignments) in placed {
+            let lo = as_u32(entries.len());
+            // The empty slots before this one stop at it.
+            per_slot.resize(slot, (lo, lo));
+            next_occ.resize(slot + 1, as_u32(slot));
+            for a in assignments {
+                let l_lo = as_u32(listeners.len());
+                listeners.extend_from_slice(&a.listeners);
                 entries.push(SlotEntry {
                     owner: a.owner,
                     kind: flow_kinds.get(&(slot, a.owner)).copied(),
-                    listeners: a.listeners.clone(),
+                    lo: l_lo,
+                    hi: as_u32(listeners.len()),
                 });
             }
-            let hi = u32::try_from(entries.len()).expect("schedule fits u32");
-            per_slot.push((lo, hi));
+            per_slot.push((lo, as_u32(entries.len())));
         }
-        let mut next_occ = vec![u32::try_from(spc).expect("slot count fits u32"); spc + 1];
-        for slot in (0..spc).rev() {
-            next_occ[slot] = if per_slot[slot].0 != per_slot[slot].1 {
-                u32::try_from(slot).expect("slot fits u32")
-            } else {
-                next_occ[slot + 1]
-            };
-        }
+        let end = as_u32(entries.len());
+        per_slot.resize(spc, (end, end));
+        next_occ.resize(spc + 1, as_u32(spc));
         SlotTable {
             per_slot,
             entries,
+            listeners,
             next_occ,
         }
+    }
+
+    /// The listeners of `e`, an entry of this table.
+    pub(super) fn listeners_of(&self, e: &SlotEntry) -> &[NodeId] {
+        &self.listeners[e.lo as usize..e.hi as usize]
     }
 
     fn is_occupied(&self, slot: usize) -> bool {
@@ -738,7 +756,7 @@ impl Engine {
             };
             let Some(msg) = msg else {
                 // Empty slot: listeners still pay the detect window.
-                for &l in &e.listeners {
+                for &l in table.listeners_of(e) {
                     if self.alive(l) {
                         if let Some(m) = self.meter_mut(l) {
                             m.add(RadioState::Listen, detect);
@@ -760,7 +778,7 @@ impl Engine {
                 m.add(RadioState::Idle, guard);
                 m.add(RadioState::Tx, airtime);
             }
-            for &to in &e.listeners {
+            for &to in table.listeners_of(e) {
                 if !self.alive(to) {
                     continue;
                 }
@@ -1019,5 +1037,68 @@ impl Engine {
             }
         }
         self.plan = plan;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use evm_mac::rtlink::{SlotAssignment, SlotSchedule};
+    use evm_netsim::NodeId;
+
+    use super::SlotTable;
+    use crate::runtime::topo::FlowKind;
+
+    /// The one-pass build over the placed slots equals probing every slot
+    /// of the cycle: same entry ranges, entries, listeners and
+    /// next-occupied index, across gaps, a shared (spatial-reuse) slot,
+    /// an empty listener set and the cycle's last slot.
+    #[test]
+    fn slot_table_matches_a_per_slot_probe() {
+        const SPC: usize = 40;
+        let mut schedule = SlotSchedule::new(SPC);
+        for (slot, owner, listeners) in [
+            (3, 1, vec![2, 3]),
+            (3, 4, vec![5]),
+            (4, 2, vec![1]),
+            (9, 6, vec![]),
+            (17, 1, vec![2]),
+            (39, 3, vec![4, 5, 6]),
+        ] {
+            schedule.assign(SlotAssignment {
+                slot,
+                owner: NodeId(owner),
+                listeners: listeners.into_iter().map(NodeId).collect(),
+            });
+        }
+        let flow_kinds = HashMap::from([
+            ((4, NodeId(2)), FlowKind::ControlPublish { vc: 0 }),
+            ((39, NodeId(3)), FlowKind::ControlPlane { vc: 1 }),
+        ]);
+        let t = SlotTable::build(&schedule, &flow_kinds);
+        assert_eq!(t.per_slot.len(), SPC);
+        assert_eq!(t.next_occ.len(), SPC + 1);
+        let mut next_entry = 0;
+        for slot in 0..SPC {
+            let placed = schedule.in_slot(slot);
+            let (lo, hi) = t.per_slot[slot];
+            assert_eq!(
+                (lo, hi as usize),
+                (next_entry, next_entry as usize + placed.len())
+            );
+            for (e, a) in t.entries[lo as usize..hi as usize].iter().zip(placed) {
+                assert_eq!(e.owner, a.owner);
+                assert_eq!(e.kind, flow_kinds.get(&(slot, a.owner)).copied());
+                assert_eq!(t.listeners_of(e), a.listeners.as_slice());
+            }
+            next_entry = hi;
+            let next_occ = (slot..SPC)
+                .find(|&s| !schedule.in_slot(s).is_empty())
+                .unwrap_or(SPC);
+            assert_eq!(t.next_occ[slot] as usize, next_occ, "slot {slot}");
+        }
+        assert_eq!(t.entries.len(), 6);
+        assert_eq!(t.next_occ[SPC] as usize, SPC);
     }
 }

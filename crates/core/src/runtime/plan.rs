@@ -30,6 +30,7 @@
 //! resolve its listener set; deliveries land within their own slot
 //! (guard + airtime < slot), so one generation is strictly enough.
 
+use std::collections::HashMap;
 use std::mem;
 
 use evm_netsim::{BurstSlot, LinkBudget, NodeId};
@@ -113,18 +114,25 @@ impl Engine {
         // walking it; nothing below touches the table's owner.
         let table = mem::take(&mut self.slot_table);
         let mut entries = Vec::with_capacity(table.entries.len());
-        let mut listeners = Vec::new();
+        let mut listeners = Vec::with_capacity(table.listeners.len());
+        // A link budget depends on the link only through its distance
+        // (without shadowing), or is `None` without drawing (with it):
+        // fleets repeat a handful of distances, so evaluate each once.
+        let mut budgets: HashMap<u64, Option<LinkBudget>> = HashMap::new();
         for e in &table.entries {
             let owner_ix = self.dense_ix(e.owner).expect("scheduled owner is deployed");
             let lo = u32::try_from(listeners.len()).expect("listener count fits u32");
-            for &l in &e.listeners {
+            for &l in table.listeners_of(e) {
                 let ix = self.dense_ix(l).expect("scheduled listener is deployed");
                 let distance = self.topology.distance(e.owner, l);
+                let budget = *budgets
+                    .entry(distance.to_bits())
+                    .or_insert_with(|| self.channel.link_budget((e.owner, l), distance));
                 listeners.push(PlanListener {
                     id: l,
                     ix: u32::try_from(ix).expect("dense index fits u32"),
                     distance,
-                    budget: self.channel.link_budget((e.owner, l), distance),
+                    budget,
                     burst: self.channel.burst_slot((e.owner, l)),
                 });
             }
@@ -169,5 +177,41 @@ impl Engine {
             generation,
         };
         self.plan_prev = mem::replace(&mut self.plan, plan);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::runtime::{Engine, ScenarioBuilder};
+
+    /// Link budgets are memoized by distance while the plan is built:
+    /// every listener must still carry exactly the budget its own link
+    /// gives. The two-hop line has links at several distances with
+    /// distinct non-zero error rates, so a wrong memo key shows.
+    #[test]
+    fn memoized_link_budgets_match_per_link_evaluation() {
+        let mut e = Engine::new(
+            ScenarioBuilder::star()
+                .line(2)
+                .sensors(1)
+                .controllers(2)
+                .actuators(1)
+                .head(true)
+                .build(),
+        );
+        let mut distinct = Vec::new();
+        for entry in &e.plan.entries {
+            for l in &e.plan.listeners[entry.lo as usize..entry.hi as usize] {
+                let fresh = e.channel.link_budget((entry.owner, l.id), l.distance);
+                assert_eq!(l.budget, fresh, "{} -> {}", entry.owner, l.id);
+                if !distinct.contains(&fresh) {
+                    distinct.push(fresh);
+                }
+            }
+        }
+        assert!(
+            distinct.len() >= 3,
+            "the line must exercise several distinct budgets"
+        );
     }
 }

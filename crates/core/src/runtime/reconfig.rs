@@ -503,11 +503,7 @@ impl Engine {
         self.flow_kinds = epoch.flow_kinds;
         // The hot loop reads the flattened occupancy table, not the
         // schedule maps — rebuild it with every commit.
-        self.slot_table = SlotTable::build(
-            self.scenario.rtlink.slots_per_cycle,
-            &self.schedule,
-            &self.flow_kinds,
-        );
+        self.slot_table = SlotTable::build(&self.schedule, &self.flow_kinds);
         // ... and the compiled cycle plan is lowered from the table:
         // same commit, same boundary (see `super::plan`).
         self.rebuild_plan();

@@ -5,8 +5,10 @@
 //! Construction is fleet-aware and linear in the VC count: the
 //! [`crate::runtime::VcMap`] is built in one pass that buckets nodes by
 //! VC, role lookups go through a node→duty index built once (instead of
-//! per-node scans over every VC), identical control laws compile once
-//! and every replica shares the one `Arc`-backed [`Program`], and the
+//! per-node scans over every VC), identical control laws compile once —
+//! every replica shares the one `Arc`-backed
+//! [`Program`](crate::bytecode::Program), and every VC's capsule is a
+//! copy of its law's one capsule (one CRC per law, not per VC) — and the
 //! epoch-0 schedule is computed over the resolved topology itself. The
 //! hot-loop state the driver reads every slot (meters, relay cores,
 //! labels, slot occupancy) is laid out in dense topology-indexed tables.
@@ -20,7 +22,6 @@ use evm_sim::{EventQueue, SimDuration, SimRng, SimTime, TimeSeries, Trace};
 
 use crate::bytecode::{
     compile_control_law, control_law_gas_budget, Capability, Capsule, CapsuleId, ControlLawSpec,
-    Program,
 };
 use crate::component::{MemberInfo, VirtualComponent};
 use crate::metrics::VcRunStats;
@@ -41,8 +42,9 @@ use crate::transfers::ObjectTransfer;
 
 /// Everything VC-specific the node loop below needs, prepared once per VC.
 struct VcPlan {
-    program: Program,
-    gas: u64,
+    /// The VC's law in the setup's law cache: its compiled program, gas
+    /// budget and capsule.
+    law: usize,
     params: ReplicaParams,
     primary: NodeId,
     act_register: u16,
@@ -159,27 +161,36 @@ impl Engine {
             relay_cores[ix] = Some(RelayCore::new(jobs));
             forwarders.push(id);
         }
-        let slot_table = SlotTable::build(scenario.rtlink.slots_per_cycle, &schedule, &flow_kinds);
+        let slot_table = SlotTable::build(&schedule, &flow_kinds);
 
         let regmap = RegisterMap::gas_plant_standard();
 
         // --- Per-VC plans: compiled law, task params, registers --------
         // Identical laws (fleet deployments host clones of the standard
-        // loops) compile once; [`Program`] clones share their original's
-        // cache id, so downstream prepared-artifact caches also hit.
-        let mut law_cache: Vec<(ControlLawSpec, Program, u64)> = Vec::new();
+        // loops) compile once, into one capsule (the CRC over the encoded
+        // program is computed once per law); [`Program`] clones share
+        // their original's cache id, so downstream prepared-artifact
+        // caches also hit.
+        let mut law_cache: Vec<(ControlLawSpec, Capsule)> = Vec::new();
         let plans: Vec<VcPlan> = (0..vcs.n_vcs())
             .map(|k| {
                 let vc = k as VcId;
                 let spec = scenario.vc_loop(vc);
                 let law = ControlLawSpec::from_loop(spec);
-                let (program, gas) = match law_cache.iter().find(|(l, _, _)| *l == law) {
-                    Some((_, p, g)) => (p.clone(), *g),
+                let law_ix = match law_cache.iter().position(|(l, _)| *l == law) {
+                    Some(ix) => ix,
                     None => {
                         let program = compile_control_law(&law);
                         let gas = control_law_gas_budget(&program);
-                        law_cache.push((law, program.clone(), gas));
-                        (program, gas)
+                        let capsule = Capsule::new(
+                            CapsuleId(u32::from(vc)),
+                            1,
+                            program,
+                            gas,
+                            vec![Capability::ControllerRole, Capability::DataPlane],
+                        );
+                        law_cache.push((law, capsule));
+                        law_cache.len() - 1
                     }
                 };
                 // The focus sensor's downlink register must agree with the
@@ -198,8 +209,7 @@ impl Engine {
                     .holding_register_of(&spec.op_tag)
                     .unwrap_or_else(|| panic!("no holding register for {}", spec.op_tag));
                 VcPlan {
-                    program,
-                    gas,
+                    law: law_ix,
                     params: ReplicaParams {
                         detect_threshold: scenario.detect_threshold,
                         detect_consecutive: scenario.detect_consecutive,
@@ -285,13 +295,14 @@ impl Engine {
                     // still fail over.
                     Some(Duty::Head(vc)) => {
                         let p = &plans[vc as usize];
+                        let law = &law_cache[p.law].1;
                         Box::new(HeadNode::new(ControllerCore::new(
                             id,
                             vc,
                             ControllerMode::Backup,
                             true,
-                            &p.program,
-                            p.gas,
+                            &law.program,
+                            law.gas_budget,
                             &p.params,
                         )))
                     }
@@ -301,13 +312,20 @@ impl Engine {
                     Some(Duty::Relay) => Box::new(RelayNode),
                     Some(Duty::Controller(vc)) => {
                         let p = &plans[vc as usize];
+                        let law = &law_cache[p.law].1;
                         let (mode, hosts_task) = if id == p.primary {
                             (ControllerMode::Active, true)
                         } else {
                             (b_mode, scenario.warm_backup)
                         };
                         Box::new(ControllerNode::new(ControllerCore::new(
-                            id, vc, mode, hosts_task, &p.program, p.gas, &p.params,
+                            id,
+                            vc,
+                            mode,
+                            hosts_task,
+                            &law.program,
+                            law.gas_budget,
+                            &p.params,
                         )))
                     }
                     Some(Duty::Actuator(vc)) => {
@@ -385,18 +403,15 @@ impl Engine {
 
         // The authoritative capsule each VC would ship on a live
         // migration: the compiled law wrapped with its budget and the
-        // capabilities a computing replica needs, version 1 at boot.
+        // capabilities a computing replica needs, version 1 at boot —
+        // its law's capsule under the VC's own id.
         let capsules: Vec<Capsule> = plans
             .iter()
             .enumerate()
             .map(|(vc, p)| {
-                Capsule::new(
-                    CapsuleId(u32::try_from(vc).expect("vc fits u32")),
-                    1,
-                    p.program.clone(),
-                    p.gas,
-                    vec![Capability::ControllerRole, Capability::DataPlane],
-                )
+                let mut capsule = law_cache[p.law].1.clone();
+                capsule.id = CapsuleId(u32::try_from(vc).expect("vc fits u32"));
+                capsule
             })
             .collect();
 
@@ -542,5 +557,32 @@ impl Engine {
             engine.queue.push(at, Ev::Reconfigure);
         }
         Ok(engine)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::bytecode::{Capability, Capsule, CapsuleId};
+    use crate::runtime::{Engine, Scenario};
+
+    /// Every fleet VC's capsule is its law's one capsule under the VC's
+    /// own id: intact, and bit-equal to packaging the program afresh.
+    #[test]
+    fn fleet_capsules_match_fresh_packaging() {
+        let engine = Engine::new(Scenario::builder().fleet(200).build());
+        assert_eq!(engine.capsules.len(), 200);
+        for (vc, c) in engine.capsules.iter().enumerate() {
+            let fresh = Capsule::new(
+                c.id,
+                1,
+                c.program.clone(),
+                c.gas_budget,
+                vec![Capability::ControllerRole, Capability::DataPlane],
+            );
+            assert_eq!(c.id, CapsuleId(u32::try_from(vc).expect("vc fits u32")));
+            assert!(c.integrity_ok(), "VC {vc}: capsule fails its CRC");
+            assert_eq!(c.crc(), fresh.crc(), "VC {vc}");
+            assert_eq!(*c, fresh, "VC {vc}");
+        }
     }
 }

@@ -5,16 +5,20 @@
 //! the steady-state slot loop must not touch the heap at all: no
 //! per-slot clones, no label `String`s, no dispatch scratch growth, no
 //! per-listener message copies. This test installs a counting global
-//! allocator, warms a compiled-tier run, then steps several more
-//! seconds of simulated time and asserts that **zero** allocations and
-//! **zero** deallocations happened in the window.
+//! allocator, warms a run, then steps several more seconds of simulated
+//! time and asserts that **zero** allocations and **zero**
+//! deallocations happened in the window.
 //!
-//! Covered windows: both steppings on the planned path, the direct
-//! oracle, and a planned run with a live capsule migration in flight —
-//! multi-listener folded broadcasts with a `CapsuleChunk` crossing the
-//! window every cycle (the image is padded so the stop-and-wait
-//! shipment spans the whole measured window; its start and completion
-//! both land outside it).
+//! Covered windows, on the compiled tier: both steppings on the planned
+//! path, the direct oracle, and a planned run with a live capsule
+//! migration in flight — multi-listener folded broadcasts with a
+//! `CapsuleChunk` crossing the window every cycle (the image is padded
+//! so the stop-and-wait shipment spans the whole measured window; its
+//! start and completion both land outside it). The interpreted (default)
+//! and fused tiers get an event-driven planned window each: their data
+//! stack belongs to the VM, so a capsule run allocates nothing either.
+//! Building a [`Vm`] allocates nothing on any tier (its extension table
+//! is allocated on first registration only).
 //!
 //! A single `#[test]` covers all windows sequentially: the counters
 //! are process-global, so concurrent tests would pollute each other's
@@ -26,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use evm_core::runtime::{
     CyclePlanMode, Engine, ReroutePolicy, Scenario, ScenarioBuilder, SlotStepping,
 };
-use evm_core::Tier;
+use evm_core::{Tier, Vm};
 use evm_netsim::NodeId;
 use evm_sim::{SimDuration, SimTime};
 
@@ -60,12 +64,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A fault-free single-VC star on the compiled tier: the steady state
-/// is pure slot traffic — samples, capsule runs, actuations,
-/// keepalives — with no failover or reconfiguration churn.
-fn scenario(stepping: SlotStepping, plan: CyclePlanMode) -> Scenario {
+/// A fault-free single-VC star on `tier`: the steady state is pure slot
+/// traffic — samples, capsule runs, actuations, keepalives — with no
+/// failover or reconfiguration churn.
+fn scenario(tier: Tier, stepping: SlotStepping, plan: CyclePlanMode) -> Scenario {
     ScenarioBuilder::star()
-        .tier(Tier::Compiled)
+        .tier(tier)
         .stepping(stepping)
         .plan(plan)
         .duration(SimDuration::from_secs(30))
@@ -113,17 +117,51 @@ fn assert_zero_alloc_steady_state(label: &str, s: Scenario) {
 
 #[test]
 fn warmed_hot_loop_never_touches_the_heap() {
+    let allocs_before = ALLOCS.load(Relaxed);
+    for tier in Tier::ALL {
+        std::hint::black_box(Vm::with_tier(1000, tier));
+    }
+    assert_eq!(
+        ALLOCS.load(Relaxed) - allocs_before,
+        0,
+        "building a VM must not allocate"
+    );
+
     assert_zero_alloc_steady_state(
         "event+planned",
-        scenario(SlotStepping::EventDriven, CyclePlanMode::Planned),
+        scenario(
+            Tier::Compiled,
+            SlotStepping::EventDriven,
+            CyclePlanMode::Planned,
+        ),
     );
     assert_zero_alloc_steady_state(
         "legacy+planned",
-        scenario(SlotStepping::Legacy, CyclePlanMode::Planned),
+        scenario(Tier::Compiled, SlotStepping::Legacy, CyclePlanMode::Planned),
     );
     assert_zero_alloc_steady_state(
         "event+direct",
-        scenario(SlotStepping::EventDriven, CyclePlanMode::Direct),
+        scenario(
+            Tier::Compiled,
+            SlotStepping::EventDriven,
+            CyclePlanMode::Direct,
+        ),
+    );
+    assert_zero_alloc_steady_state(
+        "interp event+planned",
+        scenario(
+            Tier::Interp,
+            SlotStepping::EventDriven,
+            CyclePlanMode::Planned,
+        ),
+    );
+    assert_zero_alloc_steady_state(
+        "fused event+planned",
+        scenario(
+            Tier::Fused,
+            SlotStepping::EventDriven,
+            CyclePlanMode::Planned,
+        ),
     );
     let migration = migration_scenario();
     {

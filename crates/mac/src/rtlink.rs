@@ -223,6 +223,13 @@ impl SlotSchedule {
         self.slots.get(&slot).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// Every slot carrying an assignment, with its assignments, in no
+    /// particular order — lets a consumer visit the placed slots without
+    /// probing every slot of the cycle.
+    pub fn placed_slots(&self) -> impl Iterator<Item = (usize, &[SlotAssignment])> {
+        self.slots.iter().map(|(&slot, a)| (slot, a.as_slice()))
+    }
+
     /// The highest slot index carrying an assignment — i.e. how much of
     /// the cycle the schedule actually needs. `None` for an empty
     /// schedule. Capacity benches report this as the effective cycle
