@@ -9,12 +9,12 @@
 //! [`VcId`], so several Virtual Components share one RT-Link cycle
 //! without observing each other.
 //!
-//! Two slot-stepping strategies share one slot body
-//! ([`SlotStepping`]): the legacy driver arms one `Ev::Slot` per slot
-//! unconditionally, while the event-driven cursor walks a per-epoch
-//! [`SlotTable`] and jumps straight to the next occupied slot or cycle
-//! boundary, reserving the queue sequence numbers the legacy re-arms
-//! would have consumed so both strategies produce byte-identical runs.
+//! Slots are not queue events. A slot cursor walks the per-epoch
+//! [`CyclePlan`], runs each occupied slot (and every cycle boundary)
+//! from its pre-resolved records, and jumps over empty stretches in one
+//! step. Each slot still owns one queue sequence number, reserved when
+//! the slot is reached or skipped, so same-instant ordering against
+//! queued events is a fixed function of the scenario.
 //! The steady state is allocation-free: node state lives in dense
 //! topology-indexed tables, labels are interned at setup, and dispatch
 //! effects/timers drain into reusable scratch buffers.
@@ -35,9 +35,8 @@ use crate::metrics::{NodeEnergy, RunMeta, RunResult, VcRunStats};
 use crate::runtime::behavior::{Effect, NodeBehavior, NodeCtx, Timer};
 use crate::runtime::behaviors::RelayCore;
 use crate::runtime::plan::CyclePlan;
-use crate::runtime::reconfig::{ReconfigState, ReroutePolicy};
+use crate::runtime::reconfig::ReconfigState;
 use crate::runtime::registry::NodeRegistry;
-use crate::runtime::scenario::{CyclePlanMode, SlotStepping};
 use crate::runtime::topo::{FlowKind, RoleMap, VcId, VcMap};
 use crate::runtime::{Message, Scenario};
 
@@ -48,7 +47,6 @@ pub(super) const NO_NODE: u32 = u32::MAX;
 /// arbitration/migration ones.
 #[derive(Debug)]
 pub(super) enum Ev {
-    Slot,
     PlantStep,
     Sample,
     Deliver {
@@ -57,11 +55,11 @@ pub(super) enum Ev {
         msg: Message,
     },
     /// One transmission's whole delivered-listener set, folded into a
-    /// single event carrying one shared message image (planned mode).
-    /// `entry` indexes the generation-`gen` plan; bit `i` of `mask`
-    /// selects listener `i` of that entry. Reserves the sequence numbers
-    /// of the per-listener `Deliver`s it replaces, so ordering against
-    /// every other event is identical to the direct path.
+    /// single event carrying one shared message image. `entry` indexes
+    /// the generation-`gen` plan; bit `i` of `mask` selects listener `i`
+    /// of that entry. Reserves one sequence number per delivered
+    /// listener, so ordering against every other event is as if each
+    /// delivery were queued on its own.
     Broadcast {
         gen: u64,
         entry: u32,
@@ -93,98 +91,6 @@ pub(super) enum Ev {
     Reconfigure,
 }
 
-/// One scheduled transmission, with its flow semantic resolved once per
-/// epoch instead of per slot.
-#[derive(Debug)]
-pub(super) struct SlotEntry {
-    pub(super) owner: NodeId,
-    pub(super) kind: Option<FlowKind>,
-    /// Listener range in [`SlotTable::listeners`].
-    pub(super) lo: u32,
-    /// Exclusive end of the listener range.
-    pub(super) hi: u32,
-}
-
-/// Per-epoch slot occupancy: the schedule flattened into contiguous
-/// entry ranges per slot, plus a next-occupied-slot index so the
-/// event-driven cursor can jump over empty stretches in O(1). Rebuilt
-/// whenever an epoch commits (`schedule` / `flow_kinds` change).
-#[derive(Debug, Default)]
-pub(super) struct SlotTable {
-    /// `entries` range per slot (`slots_per_cycle` rows).
-    pub(super) per_slot: Vec<(u32, u32)>,
-    pub(super) entries: Vec<SlotEntry>,
-    /// Every entry's listeners, back to back, in entry order.
-    pub(super) listeners: Vec<NodeId>,
-    /// `next_occ[s]` = smallest occupied slot `>= s`, or
-    /// `slots_per_cycle` if none; `slots_per_cycle + 1` rows so the
-    /// lookup from `s + 1` stays in bounds.
-    next_occ: Vec<u32>,
-}
-
-impl SlotTable {
-    /// Flattens `schedule` + `flow_kinds` for one epoch in one pass over
-    /// the placed slots (in slot order); the empty stretches between and
-    /// after them are filled without probing the schedule.
-    pub(super) fn build(
-        schedule: &SlotSchedule,
-        flow_kinds: &HashMap<(usize, NodeId), FlowKind>,
-    ) -> Self {
-        let spc = schedule.slots_per_cycle();
-        let as_u32 = |n: usize| u32::try_from(n).expect("schedule fits u32");
-        let mut placed: Vec<_> = schedule.placed_slots().collect();
-        placed.sort_unstable_by_key(|&(slot, _)| slot);
-        let mut per_slot = Vec::with_capacity(spc);
-        let mut next_occ = Vec::with_capacity(spc + 1);
-        let mut entries = Vec::with_capacity(placed.iter().map(|(_, a)| a.len()).sum());
-        let mut listeners = Vec::new();
-        for (slot, assignments) in placed {
-            let lo = as_u32(entries.len());
-            // The empty slots before this one stop at it.
-            per_slot.resize(slot, (lo, lo));
-            next_occ.resize(slot + 1, as_u32(slot));
-            for a in assignments {
-                let l_lo = as_u32(listeners.len());
-                listeners.extend_from_slice(&a.listeners);
-                entries.push(SlotEntry {
-                    owner: a.owner,
-                    kind: flow_kinds.get(&(slot, a.owner)).copied(),
-                    lo: l_lo,
-                    hi: as_u32(listeners.len()),
-                });
-            }
-            per_slot.push((lo, as_u32(entries.len())));
-        }
-        let end = as_u32(entries.len());
-        per_slot.resize(spc, (end, end));
-        next_occ.resize(spc + 1, as_u32(spc));
-        SlotTable {
-            per_slot,
-            entries,
-            listeners,
-            next_occ,
-        }
-    }
-
-    /// The listeners of `e`, an entry of this table.
-    pub(super) fn listeners_of(&self, e: &SlotEntry) -> &[NodeId] {
-        &self.listeners[e.lo as usize..e.hi as usize]
-    }
-
-    fn is_occupied(&self, slot: usize) -> bool {
-        self.per_slot[slot].0 != self.per_slot[slot].1
-    }
-
-    /// Virtual-slot distance from unoccupied `slot` to the next stop:
-    /// the next occupied slot in this cycle, else the cycle boundary
-    /// (slot 0 always fires — sync plus cycle-start housekeeping).
-    fn slots_until_stop(&self, slot: usize) -> u64 {
-        let spc = self.per_slot.len() as u64;
-        let next = u64::from(self.next_occ[slot + 1]).min(spc);
-        next - slot as u64
-    }
-}
-
 /// The co-simulation engine. Build with [`Engine::new`], run with
 /// [`Engine::run`] (or incrementally with [`Engine::run_until`] +
 /// [`Engine::finalize`]).
@@ -199,7 +105,7 @@ pub struct Engine {
     pub(super) rtlink: RtLink,
     pub(super) schedule: SlotSchedule,
     /// `(slot, owner) → flow semantic` for every scheduled flow (the
-    /// cold, inspectable copy; the hot loop reads [`Engine::slot_table`]).
+    /// cold, inspectable copy; the hot loop reads [`Engine::plan`]).
     pub(super) flow_kinds: HashMap<(usize, NodeId), FlowKind>,
     /// Store-and-forward state per forwarding node ([`FlowKind::Relay`]
     /// slots transmit from here, not from the node's behavior), indexed
@@ -231,10 +137,9 @@ pub struct Engine {
     /// Interned node labels, by dense index — `NodeCtx.label` borrows
     /// from here instead of allocating per dispatch.
     pub(super) labels: Vec<String>,
-    /// Per-epoch slot occupancy for the hot loop (see [`SlotTable`]).
-    pub(super) slot_table: SlotTable,
-    /// The epoch-compiled cycle plan the planned slot body runs from
-    /// (see [`super::plan`]); rebuilt wherever [`Engine::slot_table`] is.
+    /// The epoch-compiled cycle plan the slot cursor and slot body run
+    /// from (see [`super::plan`]); rebuilt at setup and at every epoch
+    /// commit.
     pub(super) plan: CyclePlan,
     /// The retired previous plan generation — in-flight folded
     /// broadcasts pushed just before an epoch commit resolve here.
@@ -252,9 +157,9 @@ pub struct Engine {
     pub(super) vslot_k: u64,
     /// Boundary time of the next virtual slot event.
     pub(super) vslot_time: SimTime,
-    /// Queue sequence number reserved for the next virtual slot event —
-    /// keeps same-instant ordering against real queue entries identical
-    /// to the legacy `Ev::Slot` chain.
+    /// Queue sequence number reserved for the next virtual slot event:
+    /// the slot's own place in same-instant ordering against real queue
+    /// entries.
     pub(super) vslot_seq: u64,
     /// Per-VC QoS tallies, indexed by `VcId` — the single source of
     /// truth; the global `RunResult` counters are derived from these at
@@ -349,15 +254,6 @@ impl Engine {
         self.dense_ix(id).map(|ix| &self.meters[ix])
     }
 
-    /// Mutable access to the radio energy meter of `id`, if deployed.
-    #[inline]
-    pub(super) fn meter_mut(&mut self, id: NodeId) -> Option<&mut EnergyMeter> {
-        match self.dense_ix(id) {
-            Some(ix) => Some(&mut self.meters[ix]),
-            None => None,
-        }
-    }
-
     /// Runs the scenario to completion and returns the results.
     #[must_use]
     pub fn run(mut self) -> RunResult {
@@ -371,32 +267,13 @@ impl Engine {
     /// can be advanced again with a later horizon, or closed out with
     /// [`Engine::finalize`]; [`Engine::run`] is exactly
     /// `run_until(start + duration)` followed by `finalize()`.
+    ///
+    /// The slot cursor races the queue head; the earlier of the two, by
+    /// `(time, sequence number)`, fires. Empty slots are batch-skipped up
+    /// to the next occupied slot, cycle boundary or queue event, each
+    /// still reserving its own sequence number, so every same-instant
+    /// ordering decision is the same as if each slot had been queued.
     pub fn run_until(&mut self, until: SimTime) {
-        match self.scenario.stepping {
-            SlotStepping::Legacy => self.run_until_legacy(until),
-            SlotStepping::EventDriven => self.run_until_cursor(until),
-        }
-    }
-
-    /// Legacy stepping: pure event-queue pump; `Ev::Slot` re-arms itself.
-    fn run_until_legacy(&mut self, until: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= until {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event");
-            self.now = t;
-            self.handle(ev);
-            self.debug_check_invariants();
-        }
-    }
-
-    /// Event-driven stepping: the slot cursor races the queue head; the
-    /// earlier of the two fires. Empty slots are batch-skipped up to the
-    /// next occupied slot, cycle boundary or queue event, reserving the
-    /// queue sequence numbers the legacy `Ev::Slot` re-arms would have
-    /// consumed so every same-instant ordering decision is identical.
-    fn run_until_cursor(&mut self, until: SimTime) {
         let dur = self.scenario.rtlink.slot_duration;
         let spc = self.scenario.rtlink.slots_per_cycle as u64;
         loop {
@@ -420,12 +297,12 @@ impl Engine {
                 break;
             }
             let slot = usize::try_from(self.vslot_k % spc).expect("slot fits usize");
-            if slot == 0 || self.slot_table.is_occupied(slot) {
+            if slot == 0 || self.plan.is_occupied(slot) {
                 let cycle = self.vslot_k / spc;
                 self.now = self.vslot_time;
                 self.on_slot_body(cycle, slot);
-                // The legacy driver re-arms `Ev::Slot` here; reserve the
-                // same sequence number so later pushes order identically.
+                // The next slot takes its sequence number after every
+                // push this slot made.
                 self.vslot_k += 1;
                 self.vslot_time += dur;
                 self.vslot_seq = self.queue.skip_seq();
@@ -445,7 +322,7 @@ impl Engine {
                 } else {
                     whole + 1
                 };
-                let n = self.slot_table.slots_until_stop(slot).min(n_time).max(1);
+                let n = self.plan.slots_until_stop(slot).min(n_time).max(1);
                 self.vslot_k += n;
                 self.vslot_time += dur * n;
                 self.vslot_seq = self.queue.skip_seqs(n);
@@ -614,7 +491,6 @@ impl Engine {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::PlantStep => self.on_plant_step(),
-            Ev::Slot => self.on_slot(),
             Ev::Sample => self.on_sample(),
             Ev::Deliver { to, from, msg } => {
                 // Capsule fragments belong to the engine's transfer
@@ -683,55 +559,35 @@ impl Engine {
             .push(self.now + self.scenario.sample_every, Ev::Sample);
     }
 
-    /// Legacy stepping entry: one `Ev::Slot` per slot, re-armed
-    /// unconditionally.
-    fn on_slot(&mut self) {
-        let (cycle, slot) = self.rtlink.slot_at(self.now);
-        self.on_slot_body(cycle, slot);
-        self.queue
-            .push(self.now + self.scenario.rtlink.slot_duration, Ev::Slot);
-    }
-
-    /// Processes all transmissions of `slot` (in `cycle`), starting now.
+    /// Processes all transmissions of `slot` (in `cycle`), starting now,
+    /// from the epoch-compiled [`CyclePlan`]: dense indices, distances,
+    /// channel budgets and airtime constants are all pre-resolved, so
+    /// the slot is reduced to behavior dispatch and the RNG draws (see
+    /// the draw-order invariant in [`super::plan`]). Delivered listener
+    /// sets fold into one [`Ev::Broadcast`] per transmission (one shared
+    /// message image).
     fn on_slot_body(&mut self, cycle: u64, slot: usize) {
-        match self.scenario.plan {
-            CyclePlanMode::Planned => self.on_slot_body_planned(cycle, slot),
-            CyclePlanMode::Direct => self.on_slot_body_direct(cycle, slot),
-        }
-    }
-
-    /// Direct slot body: re-resolves every slot-invariant term from the
-    /// live structures per slot — the pre-plan behavior, kept verbatim
-    /// as the differential oracle for [`Engine::on_slot_body_planned`].
-    fn on_slot_body_direct(&mut self, cycle: u64, slot: usize) {
         if slot == 0 {
-            self.on_cycle_start_direct();
+            self.on_cycle_start();
         }
-        // Detect window a listener pays before shutting down on an empty
-        // slot: guard + PHY header airtime.
-        let detect = self.scenario.rtlink.guard
-            + evm_netsim::frame::airtime_for_bytes(evm_netsim::PHY_HEADER_BYTES);
-        let keepalives = self.scenario.reroute == ReroutePolicy::Heartbeat;
-        // Lift the table out for the slot so behaviors can be dispatched
+        let guard = self.scenario.rtlink.guard;
+        // Lift the plan out for the slot so behaviors can be dispatched
         // while iterating it; nothing mid-slot rebuilds it (epoch commits
         // happen in `on_cycle_start`, above).
-        let table = mem::take(&mut self.slot_table);
-        let (lo, hi) = table.per_slot[slot];
-        for e in &table.entries[lo as usize..hi as usize] {
+        let plan = mem::take(&mut self.plan);
+        let (lo, hi) = plan.per_slot[slot];
+        for eix in lo..hi {
+            let e = &plan.entries[eix as usize];
             let owner = e.owner;
             if !self.alive(owner) {
                 continue;
             }
-            let kind = e.kind;
-            let msg = match kind {
+            let msg = match e.kind {
                 // Forwarding slots transmit the captured frame from the
                 // owner's relay core; everything else asks the behavior.
-                Some(FlowKind::Relay { job, .. }) => match self.dense_ix(owner) {
-                    Some(ix) => self.relay_cores[ix]
-                        .as_mut()
-                        .and_then(|c| c.take(job as usize)),
-                    None => None,
-                },
+                Some(FlowKind::Relay { job, .. }) => self.relay_cores[e.owner_ix as usize]
+                    .as_mut()
+                    .and_then(|c| c.take(job as usize)),
                 // Dedicated transfer slots transmit from the engine's
                 // transfer plane; idle (no migration in flight) they stay
                 // silent — never keepalive-filled.
@@ -742,105 +598,9 @@ impl Engine {
                 None => None,
             };
             // Under the heartbeat reroute policy, forwarders and heads
-            // fill otherwise-empty owned slots with a keepalive —
-            // "alive but starved" stays distinguishable from "dead", so
-            // silence is sufficient evidence for marking a node down.
-            let msg = match (msg, kind) {
-                (Some(m), _) => Some(m),
-                (None, Some(FlowKind::Relay { .. } | FlowKind::ControlPlane { .. }))
-                    if keepalives =>
-                {
-                    Some(Message::Heartbeat { from: owner })
-                }
-                (None, _) => None,
-            };
-            let Some(msg) = msg else {
-                // Empty slot: listeners still pay the detect window.
-                for &l in table.listeners_of(e) {
-                    if self.alive(l) {
-                        if let Some(m) = self.meter_mut(l) {
-                            m.add(RadioState::Listen, detect);
-                        }
-                    }
-                }
-                continue;
-            };
-            // Every frame actually put on the air stamps the liveness
-            // ledger (the heartbeat bookkeeping behind dead-forwarder
-            // detection and head re-election).
-            if keepalives {
-                self.reconfig.ledger.heard(owner, cycle);
-            }
-            let frame = Frame::new(owner, FrameKind::Broadcast, msg.payload_bytes(), 0);
-            let airtime = frame.airtime();
-            let guard = self.scenario.rtlink.guard;
-            if let Some(m) = self.meter_mut(owner) {
-                m.add(RadioState::Idle, guard);
-                m.add(RadioState::Tx, airtime);
-            }
-            for &to in table.listeners_of(e) {
-                if !self.alive(to) {
-                    continue;
-                }
-                if let Some(m) = self.meter_mut(to) {
-                    m.add(RadioState::Rx, guard + airtime);
-                }
-                if !self.scenario.fault_plan.link_usable(owner, to, self.now) {
-                    continue;
-                }
-                let d = self.topology.distance(owner, to);
-                if !self.channel.sample_delivery(&frame, to, d) {
-                    continue;
-                }
-                if self.rng.chance(self.scenario.extra_loss) {
-                    continue;
-                }
-                self.queue.push(
-                    self.now + guard + airtime,
-                    Ev::Deliver {
-                        to,
-                        from: owner,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-        }
-        self.slot_table = table;
-    }
-
-    /// Planned slot body: runs the epoch-compiled [`CyclePlan`] — dense
-    /// indices, distances, channel budgets and airtime constants all
-    /// pre-resolved — consuming the RNG streams draw-for-draw like
-    /// [`Engine::on_slot_body_direct`]. Delivered listener sets fold
-    /// into one [`Ev::Broadcast`] per transmission (one shared message
-    /// image), reserving the per-listener sequence numbers the direct
-    /// path would have consumed.
-    fn on_slot_body_planned(&mut self, cycle: u64, slot: usize) {
-        if slot == 0 {
-            self.on_cycle_start_planned();
-        }
-        let guard = self.scenario.rtlink.guard;
-        // Lift the plan out for the slot so behaviors can be dispatched
-        // while iterating it; nothing mid-slot rebuilds it (epoch commits
-        // happen in `on_cycle_start_planned`, above).
-        let plan = mem::take(&mut self.plan);
-        let (lo, hi) = plan.per_slot[slot];
-        for eix in lo..hi {
-            let e = &plan.entries[eix as usize];
-            let owner = e.owner;
-            if !self.alive(owner) {
-                continue;
-            }
-            let msg = match e.kind {
-                Some(FlowKind::Relay { job, .. }) => self.relay_cores[e.owner_ix as usize]
-                    .as_mut()
-                    .and_then(|c| c.take(job as usize)),
-                Some(FlowKind::Transfer { vc }) => self.take_transfer_chunk(vc, owner),
-                Some(k) => self
-                    .dispatch(owner, |n, ctx| n.take_outgoing(k, ctx))
-                    .flatten(),
-                None => None,
-            };
+            // fill otherwise-empty owned slots with a keepalive — "alive
+            // but starved" stays distinguishable from "dead", so silence
+            // is sufficient evidence for marking a node down.
             let msg = match msg {
                 Some(m) => Some(m),
                 None if e.keepalive_eligible => Some(Message::Heartbeat { from: owner }),
@@ -856,6 +616,9 @@ impl Engine {
                 }
                 continue;
             };
+            // Every frame actually put on the air stamps the liveness
+            // ledger (the heartbeat bookkeeping behind dead-forwarder
+            // detection and head re-election).
             if plan.keepalives {
                 self.reconfig.ledger.heard(owner, cycle);
             }
@@ -868,7 +631,7 @@ impl Engine {
             m.add(RadioState::Tx, airtime);
             // Fold delivered listeners into one event when they fit the
             // mask; wider listener sets (not seen in practice) fall back
-            // to the direct path's per-listener pushes.
+            // to one `Ev::Deliver` per listener.
             let fold = listeners.len() <= 64;
             let mut mask = 0u64;
             let mut delivered = 0u64;
@@ -920,8 +683,8 @@ impl Engine {
                     },
                 );
                 if delivered > 1 {
-                    // Reserve the sequence numbers of the per-listener
-                    // deliveries this event folded.
+                    // One sequence number per folded delivery, as if
+                    // each had been pushed on its own.
                     self.queue.skip_seqs(delivered - 1);
                 }
             }
@@ -972,46 +735,17 @@ impl Engine {
     /// scans (the reconfiguration plane), sync reception energy, per-node
     /// cycle hooks (heartbeat silence checks), and the per-VC per-cycle
     /// regulation-error samples.
-    fn on_cycle_start_direct(&mut self) {
+    ///
+    /// The meter stamp and the cycle hook share one pass over the nodes:
+    /// the hooks draw no RNG and touch no meters, so interleaving them
+    /// observes the same state as two scans. Only hook-bearing nodes are
+    /// dispatched (the rest are no-ops by
+    /// [`NodeBehavior::has_cycle_hook`]).
+    fn on_cycle_start(&mut self) {
         // The reconfiguration plane acts strictly at cycle boundaries,
         // before any transmission of the new cycle: a staged epoch
         // becomes visible here or never — frames are never torn across
         // epochs mid-cycle.
-        self.reconfig_on_cycle_start();
-        let sync = self.scenario.rtlink.sync_listen;
-        // Registration order is topology order, so the registry scans
-        // are index loops over the dense tables.
-        for ix in 0..self.node_ids.len() {
-            let id = self.node_ids[ix];
-            if self.alive(id) {
-                self.meters[ix].add(RadioState::Rx, sync);
-            }
-        }
-        for ix in 0..self.node_ids.len() {
-            let id = self.node_ids[ix];
-            if self.alive(id) {
-                self.dispatch(id, |n, ctx| n.on_cycle_start(ctx));
-            }
-        }
-        // One regulation-error sample per VC per RT-Link cycle — the
-        // per-cycle error trace the multi-VC isolation contract is pinned
-        // on (a fault in one VC must leave every other VC's trace
-        // byte-identical).
-        for (pv_tag, setpoint, series) in &mut self.err_series {
-            if let Some(pv) = self.plant.read_tag(pv_tag) {
-                series.push(self.now, pv - *setpoint);
-            }
-        }
-    }
-
-    /// [`Engine::on_cycle_start_direct`] run from the plan: the meter
-    /// stamp and the cycle hook fuse into one pass (byte-identical — the
-    /// hooks draw no RNG and touch no meters, so stamping and
-    /// dispatching interleaved observes the same state as two scans),
-    /// only hook-bearing nodes are dispatched (the rest are no-ops by
-    /// [`NodeBehavior::has_cycle_hook`]), and the regulation-error
-    /// samples read pre-bound plant-tag handles.
-    fn on_cycle_start_planned(&mut self) {
         self.reconfig_on_cycle_start();
         let sync = self.scenario.rtlink.sync_listen;
         let plan = mem::take(&mut self.plan);
@@ -1031,74 +765,15 @@ impl Engine {
                 self.dispatch(id, |n, ctx| n.on_cycle_start(ctx));
             }
         }
+        // One regulation-error sample per VC per RT-Link cycle — the
+        // per-cycle error trace the multi-VC isolation contract is pinned
+        // on (a fault in one VC must leave every other VC's trace
+        // byte-identical).
         for ((_, setpoint, series), tag) in self.err_series.iter_mut().zip(&plan.err_tags) {
             if let Some(tag) = tag {
                 series.push(self.now, self.plant.read_bound(*tag) - *setpoint);
             }
         }
         self.plan = plan;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use std::collections::HashMap;
-
-    use evm_mac::rtlink::{SlotAssignment, SlotSchedule};
-    use evm_netsim::NodeId;
-
-    use super::SlotTable;
-    use crate::runtime::topo::FlowKind;
-
-    /// The one-pass build over the placed slots equals probing every slot
-    /// of the cycle: same entry ranges, entries, listeners and
-    /// next-occupied index, across gaps, a shared (spatial-reuse) slot,
-    /// an empty listener set and the cycle's last slot.
-    #[test]
-    fn slot_table_matches_a_per_slot_probe() {
-        const SPC: usize = 40;
-        let mut schedule = SlotSchedule::new(SPC);
-        for (slot, owner, listeners) in [
-            (3, 1, vec![2, 3]),
-            (3, 4, vec![5]),
-            (4, 2, vec![1]),
-            (9, 6, vec![]),
-            (17, 1, vec![2]),
-            (39, 3, vec![4, 5, 6]),
-        ] {
-            schedule.assign(SlotAssignment {
-                slot,
-                owner: NodeId(owner),
-                listeners: listeners.into_iter().map(NodeId).collect(),
-            });
-        }
-        let flow_kinds = HashMap::from([
-            ((4, NodeId(2)), FlowKind::ControlPublish { vc: 0 }),
-            ((39, NodeId(3)), FlowKind::ControlPlane { vc: 1 }),
-        ]);
-        let t = SlotTable::build(&schedule, &flow_kinds);
-        assert_eq!(t.per_slot.len(), SPC);
-        assert_eq!(t.next_occ.len(), SPC + 1);
-        let mut next_entry = 0;
-        for slot in 0..SPC {
-            let placed = schedule.in_slot(slot);
-            let (lo, hi) = t.per_slot[slot];
-            assert_eq!(
-                (lo, hi as usize),
-                (next_entry, next_entry as usize + placed.len())
-            );
-            for (e, a) in t.entries[lo as usize..hi as usize].iter().zip(placed) {
-                assert_eq!(e.owner, a.owner);
-                assert_eq!(e.kind, flow_kinds.get(&(slot, a.owner)).copied());
-                assert_eq!(t.listeners_of(e), a.listeners.as_slice());
-            }
-            next_entry = hi;
-            let next_occ = (slot..SPC)
-                .find(|&s| !schedule.in_slot(s).is_empty())
-                .unwrap_or(SPC);
-            assert_eq!(t.next_occ[slot] as usize, next_occ, "slot {slot}");
-        }
-        assert_eq!(t.entries.len(), 6);
-        assert_eq!(t.next_occ[SPC] as usize, SPC);
     }
 }

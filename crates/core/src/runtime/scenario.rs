@@ -1,4 +1,8 @@
 //! Scenario configuration and the topology-aware builder DSL.
+//!
+//! The engine has one slot pipeline, so a [`Scenario`] carries no knob
+//! for how slots are stepped or executed; its only execution knob is the
+//! capsule VM tier ([`Scenario::tier`]).
 
 use evm_mac::RtLinkConfig;
 use evm_netsim::{ChannelConfig, FaultPlan};
@@ -52,64 +56,6 @@ impl Layout {
     }
 }
 
-/// How the engine advances RT-Link slots.
-///
-/// Both modes share the same per-slot body and produce byte-identical
-/// [`crate::metrics::RunResult`]s (pinned by the stepping differential
-/// suite); they differ only in how the next slot is reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SlotStepping {
-    /// Push an `Ev::Slot` event every slot, occupied or not — the
-    /// pre-fleet behavior, kept as the differential baseline. Idle slots
-    /// cost a heap push/pop each, which dominates at fleet scale.
-    Legacy,
-    /// Advance a virtual slot cursor over the epoch's occupancy table,
-    /// batch-skipping empty slots (reserving their event sequence
-    /// numbers so ordering stays exactly as if each had fired).
-    #[default]
-    EventDriven,
-}
-
-impl SlotStepping {
-    /// Stable label for report keys and CSV cells.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SlotStepping::Legacy => "legacy",
-            SlotStepping::EventDriven => "event",
-        }
-    }
-}
-
-/// How the engine executes an occupied slot (and the cycle boundary).
-///
-/// Both modes produce byte-identical [`crate::metrics::RunResult`]s
-/// (pinned by the plan differential suite); they differ only in how much
-/// slot-invariant work is resolved ahead of time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CyclePlanMode {
-    /// Execute from the epoch-compiled `CyclePlan`: dense indices,
-    /// per-link distances and channel budgets, airtime constants, the
-    /// cycle-start hook list and bound plant tags are all pre-resolved at
-    /// epoch commit, so the hot path is reduced to the RNG draws.
-    #[default]
-    Planned,
-    /// Re-resolve everything per slot from the live structures — the
-    /// pre-plan behavior, kept as the differential oracle.
-    Direct,
-}
-
-impl CyclePlanMode {
-    /// Stable label for report keys and CSV cells.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CyclePlanMode::Planned => "planned",
-            CyclePlanMode::Direct => "direct",
-        }
-    }
-}
-
 /// A fully specified co-simulation run.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -158,14 +104,6 @@ pub struct Scenario {
     /// (the oracle, default) keeps every golden byte-identical; the
     /// other tiers are bit-identical by contract and only faster.
     pub tier: Tier,
-    /// Slot-advancement strategy. `EventDriven` (default) skips empty
-    /// slots via the occupancy-table cursor; `Legacy` fires an event per
-    /// slot. Byte-identical results by contract.
-    pub stepping: SlotStepping,
-    /// Occupied-slot execution strategy. `Planned` (default) runs from
-    /// the epoch-compiled cycle plan; `Direct` re-resolves everything per
-    /// slot. Byte-identical results by contract.
-    pub plan: CyclePlanMode,
     /// Scripted reconfiguration requests: at each instant the engine
     /// recomputes the epoch (with whatever down set it has, possibly
     /// empty) and commits it at the next cycle boundary. Test/bench knob
@@ -253,8 +191,6 @@ impl Scenario {
             heartbeat_cycles: 16,
             reroute: ReroutePolicy::Static,
             tier: Tier::Interp,
-            stepping: SlotStepping::EventDriven,
-            plan: CyclePlanMode::Planned,
             force_reconfig: Vec::new(),
             fault: None,
             backup_fault: None,
@@ -614,25 +550,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the slot-advancement strategy ([`Scenario::stepping`]).
-    #[must_use]
-    pub fn stepping(mut self, stepping: SlotStepping) -> Self {
-        self.inner.stepping = stepping;
-        self
-    }
-
-    /// Sets the occupied-slot execution strategy ([`Scenario::plan`]).
-    #[must_use]
-    pub fn plan(mut self, plan: CyclePlanMode) -> Self {
-        self.inner.plan = plan;
-        self
-    }
-
     /// Switches to an `n`-VC fleet deployment: the explicit
     /// [`TopologySpec::fleet`] topology, the cycled hosting manifest
     /// ([`Scenario::host_fleet`]), a serial (sparse) schedule with an
     /// 8× slot-count headroom — the deliberately idle-slot-heavy shape
-    /// the event-driven cursor exploits — and sampling + plant
+    /// the slot cursor's batch-skip exploits — and sampling + plant
     /// integration periods scaled to the (now very long) cycle, so
     /// result memory and plant-physics cost stay bounded at 10k VCs.
     /// The plant step is capped at 10 s: the discretizations are

@@ -9,14 +9,14 @@
 //! time and asserts that **zero** allocations and **zero**
 //! deallocations happened in the window.
 //!
-//! Covered windows, on the compiled tier: both steppings on the planned
-//! path, the direct oracle, and a planned run with a live capsule
-//! migration in flight — multi-listener folded broadcasts with a
-//! `CapsuleChunk` crossing the window every cycle (the image is padded
-//! so the stop-and-wait shipment spans the whole measured window; its
-//! start and completion both land outside it). The interpreted (default)
-//! and fused tiers get an event-driven planned window each: their data
-//! stack belongs to the VM, so a capsule run allocates nothing either.
+//! Covered windows, on the compiled tier: a fault-free star, and a run
+//! with a live capsule migration in flight — multi-listener folded
+//! broadcasts with a `CapsuleChunk` crossing the window every cycle (the
+//! image is padded so the stop-and-wait shipment spans the whole
+//! measured window; its start and completion both land outside it). The
+//! interpreted (default) and fused tiers get a fault-free window each:
+//! their data stack belongs to the VM, so a capsule run allocates
+//! nothing either.
 //! Building a [`Vm`] allocates nothing on any tier (its extension table
 //! is allocated on first registration only).
 //!
@@ -27,9 +27,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use evm_core::runtime::{
-    CyclePlanMode, Engine, ReroutePolicy, Scenario, ScenarioBuilder, SlotStepping,
-};
+use evm_core::runtime::{Engine, ReroutePolicy, Scenario, ScenarioBuilder};
 use evm_core::{Tier, Vm};
 use evm_netsim::NodeId;
 use evm_sim::{SimDuration, SimTime};
@@ -67,11 +65,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// A fault-free single-VC star on `tier`: the steady state is pure slot
 /// traffic — samples, capsule runs, actuations, keepalives — with no
 /// failover or reconfiguration churn.
-fn scenario(tier: Tier, stepping: SlotStepping, plan: CyclePlanMode) -> Scenario {
+fn scenario(tier: Tier) -> Scenario {
     ScenarioBuilder::star()
         .tier(tier)
-        .stepping(stepping)
-        .plan(plan)
         .duration(SimDuration::from_secs(30))
         .build()
 }
@@ -127,42 +123,9 @@ fn warmed_hot_loop_never_touches_the_heap() {
         "building a VM must not allocate"
     );
 
-    assert_zero_alloc_steady_state(
-        "event+planned",
-        scenario(
-            Tier::Compiled,
-            SlotStepping::EventDriven,
-            CyclePlanMode::Planned,
-        ),
-    );
-    assert_zero_alloc_steady_state(
-        "legacy+planned",
-        scenario(Tier::Compiled, SlotStepping::Legacy, CyclePlanMode::Planned),
-    );
-    assert_zero_alloc_steady_state(
-        "event+direct",
-        scenario(
-            Tier::Compiled,
-            SlotStepping::EventDriven,
-            CyclePlanMode::Direct,
-        ),
-    );
-    assert_zero_alloc_steady_state(
-        "interp event+planned",
-        scenario(
-            Tier::Interp,
-            SlotStepping::EventDriven,
-            CyclePlanMode::Planned,
-        ),
-    );
-    assert_zero_alloc_steady_state(
-        "fused event+planned",
-        scenario(
-            Tier::Fused,
-            SlotStepping::EventDriven,
-            CyclePlanMode::Planned,
-        ),
-    );
+    assert_zero_alloc_steady_state("compiled", scenario(Tier::Compiled));
+    assert_zero_alloc_steady_state("interp", scenario(Tier::Interp));
+    assert_zero_alloc_steady_state("fused", scenario(Tier::Fused));
     let migration = migration_scenario();
     {
         // The shipment must actually span the window, or the chunk leg
@@ -180,5 +143,5 @@ fn warmed_hot_loop_never_touches_the_heap() {
             "the head kill must start a live migration"
         );
     }
-    assert_zero_alloc_steady_state("migration-in-flight planned", migration);
+    assert_zero_alloc_steady_state("migration in flight", migration);
 }

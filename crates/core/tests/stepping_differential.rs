@@ -1,32 +1,63 @@
-//! Differential pin: event-driven slot advancement vs. the legacy
-//! per-slot event stream.
+//! Differential: one `run` vs. the same run advanced in uneven steps.
 //!
-//! The fleet-scale hot loop (occupancy-table cursor, dense node state,
-//! scratch-buffer dispatch) must be a pure performance change: for any
-//! scenario, the whole [`evm_core::RunResult`] — series, traces, QoS
-//! metrics, energy, per-VC stats — is **byte-identical** between
-//! [`SlotStepping::Legacy`] and [`SlotStepping::EventDriven`]. Each
-//! test here runs one scenario family under both steppings and compares
-//! the results structurally, with a vacuity floor on actuations so a
-//! silently-dead run can never pass.
+//! The slot cursor batch-skips empty slots up to the next occupied
+//! slot, cycle boundary, queue event or stop horizon, reserving one
+//! queue sequence number per skipped slot. Where a run stops and
+//! resumes must not matter: for any scenario, the whole
+//! [`evm_core::RunResult`] — series, traces, QoS metrics, energy,
+//! per-VC stats — is **byte-identical** between [`Engine::run`] and the
+//! same engine advanced by [`Engine::run_until`] through an irregular
+//! ladder of horizons (off-slot, on-slot, sub-slot and multi-cycle
+//! steps), then closed out with [`Engine::finalize`]. Each test runs one
+//! scenario family both ways and compares the results structurally,
+//! with a vacuity floor on actuations so a silently-dead run can never
+//! pass.
 
-use evm_core::runtime::{Engine, ReroutePolicy, Role, Scenario, ScenarioBuilder, SlotStepping};
+use evm_core::runtime::{Engine, ReroutePolicy, Role, Scenario, ScenarioBuilder};
 use evm_core::RunResult;
 use evm_netsim::NodeId;
 use evm_sim::{SimDuration, SimTime};
 
-/// Runs `make()`'s scenario under both steppings and returns
-/// `(legacy, event_driven)` after asserting the run is non-trivial.
+/// Advances a fresh engine for `s` to its end through irregular
+/// horizons. Step lengths come from a fixed LCG and cycle through four
+/// shapes: an arbitrary microsecond count up to ~1.3 s, a stop exactly
+/// on a later slot boundary, a sub-slot step, and a stop exactly on a
+/// later cycle boundary. Horizons on a boundary are where a slot and a
+/// queue event due at the same instant meet the stop.
+fn run_stepped(s: Scenario) -> RunResult {
+    let slot = s.rtlink.slot_duration;
+    let cycle = s.rtlink.cycle_duration();
+    let end = SimTime::ZERO + s.duration;
+    let mut engine = Engine::new(s);
+    let mut lcg: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut t = SimTime::ZERO;
+    let mut steps = 0u64;
+    while t < end {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let r = lcg >> 33;
+        let horizon = match steps % 4 {
+            0 => t + SimDuration::from_micros(1 + r % 1_300_000),
+            1 => t.floor_to(slot) + slot * (1 + r % 40),
+            2 => t + SimDuration::from_micros(1 + r % 9_999),
+            _ => t.floor_to(cycle) + cycle * (1 + r % 8),
+        };
+        t = horizon.min(end);
+        engine.run_until(t);
+        steps += 1;
+    }
+    assert!(steps > 50, "the run must be split into many steps");
+    engine.finalize()
+}
+
+/// Runs `make()`'s scenario in one go and stepped, and returns
+/// `(whole, stepped)` after asserting the run is non-trivial.
 fn run_both(make: impl Fn() -> Scenario) -> (RunResult, RunResult) {
-    let run_at = |stepping: SlotStepping| {
-        let mut s = make();
-        s.stepping = stepping;
-        Engine::new(s).run()
-    };
-    let legacy = run_at(SlotStepping::Legacy);
-    assert!(legacy.actuations > 20, "run must exercise the loop");
-    let event = run_at(SlotStepping::EventDriven);
-    (legacy, event)
+    let whole = Engine::new(make()).run();
+    assert!(whole.actuations > 20, "run must exercise the loop");
+    let stepped = run_stepped(make());
+    (whole, stepped)
 }
 
 /// The first dedicated relay that carries forwarding jobs in the
@@ -46,21 +77,18 @@ fn loaded_relay(s: &Scenario) -> NodeId {
 /// fault plan (primary-controller actuator fault at 30 s).
 #[test]
 fn fig5_identical_across_steppings() {
-    let (legacy, event) = run_both(|| {
+    let (whole, stepped) = run_both(|| {
         let mut s = Scenario::baseline();
         s.duration = SimDuration::from_secs(90);
         s
     });
-    assert!(
-        event == legacy,
-        "event-driven stepping changed the Fig. 5 run"
-    );
+    assert!(stepped == whole, "stepping changed the Fig. 5 run");
 }
 
 /// Multi-hop line: relay flows spanning two hops, serial schedule.
 #[test]
 fn line_identical_across_steppings() {
-    let (legacy, event) = run_both(|| {
+    let (whole, stepped) = run_both(|| {
         ScenarioBuilder::star()
             .line(2)
             .sensors(1)
@@ -70,16 +98,13 @@ fn line_identical_across_steppings() {
             .duration(SimDuration::from_secs(60))
             .build()
     });
-    assert!(
-        event == legacy,
-        "event-driven stepping changed the line run"
-    );
+    assert!(stepped == whole, "stepping changed the line run");
 }
 
 /// 3x3 grid: lattice routing where the controller itself forwards.
 #[test]
 fn grid_identical_across_steppings() {
-    let (legacy, event) = run_both(|| {
+    let (whole, stepped) = run_both(|| {
         ScenarioBuilder::star()
             .grid(3, 3)
             .sensors(1)
@@ -90,16 +115,13 @@ fn grid_identical_across_steppings() {
             .duration(SimDuration::from_secs(60))
             .build()
     });
-    assert!(
-        event == legacy,
-        "event-driven stepping changed the grid run"
-    );
+    assert!(stepped == whole, "stepping changed the grid run");
 }
 
 /// Heartbeat reroute: a loaded forwarder dies mid-run, the heartbeat
 /// scan marks it down, and an epoch swap re-routes around it. The
-/// cursor must replicate the legacy run through the epoch-table
-/// rebuild and the post-swap occupancy change.
+/// stepped run must cross the plan rebuild and the post-swap occupancy
+/// change exactly as the single run does.
 #[test]
 fn heartbeat_reroute_identical_across_steppings() {
     let base = || {
@@ -115,7 +137,7 @@ fn heartbeat_reroute_identical_across_steppings() {
             .build()
     };
     let victim = loaded_relay(&base());
-    let (legacy, event) = run_both(|| {
+    let (whole, stepped) = run_both(|| {
         let mut s = base();
         s.fault_plan.add_crash(evm_netsim::NodeCrash::permanent(
             victim,
@@ -124,8 +146,12 @@ fn heartbeat_reroute_identical_across_steppings() {
         s
     });
     assert!(
-        event == legacy,
-        "event-driven stepping changed the heartbeat-reroute run"
+        whole.epochs >= 1,
+        "the dead forwarder must be routed around"
+    );
+    assert!(
+        stepped == whole,
+        "stepping changed the heartbeat-reroute run"
     );
 }
 
@@ -133,15 +159,12 @@ fn heartbeat_reroute_identical_across_steppings() {
 /// mid-run (failover path + per-VC stats under the dense node tables).
 #[test]
 fn two_vc_crash_identical_across_steppings() {
-    let (legacy, event) = run_both(|| {
+    let (whole, stepped) = run_both(|| {
         ScenarioBuilder::star()
             .vcs(2)
             .crash_vc_primary_at(1, SimTime::from_secs(30))
             .duration(SimDuration::from_secs(90))
             .build()
     });
-    assert!(
-        event == legacy,
-        "event-driven stepping changed the 2-VC crash run"
-    );
+    assert!(stepped == whole, "stepping changed the 2-VC crash run");
 }

@@ -79,14 +79,15 @@ fn main() {
     );
     assert!(log.misses.is_empty());
 
-    // And show the gate refusing an unsafe retool.
+    // And show the gate refusing an unsafe retool: 120 ms every 200 ms
+    // (U = 0.60) would lift the station to U = 1.11, past any schedule.
     let err = stations[0].admit(
-        TaskSpec::new("prius-paint", ms(80), ms(200)),
+        TaskSpec::new("prius-paint", ms(120), ms(200)),
         TaskImage::typical_control_task(),
         None,
     );
     println!(
-        "\nunsafe retool (+40% util) refused: {}",
+        "\nunsafe retool (+60% util) refused: {}",
         err.expect_err("must be refused")
     );
     println!(
